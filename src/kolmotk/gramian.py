@@ -8,16 +8,17 @@ which matches the law of the zero-start linear diffusion (the transposed
 orientation that sometimes appears in display form is singular on the
 worked 2-D example, so this orientation is used throughout).
 
-Two representations coexist:
+Two representations coexist, each from one Van Loan block exponential:
 
-* the assembled n x n matrix, computed by the Van Loan block-exponential
-  identity (fast, accurate at moderate t);
+* the assembled n x n matrix;
 * a scaled factorization G_hat = D_t^{-1} B' Q_t B D_t^{-1}, where B is the
   Kalman reference basis and D_t carries the per-block exponents
-  t^{(2h+1)/2}.  G_hat stays well conditioned as t -> 0, which is what
-  makes whitened norms and sampling factors accurate deep into the
-  small-time regime where the raw matrix has eigenvalues far below
-  machine precision relative to its trace.
+  t^{(2h+1)/2}.  G_hat is the time-1 Gramian of A_hat = t D_t^{-1} B'AB D_t
+  and Q_hat = t D_t^{-1} B'QB D_t^{-1}, both O(1) as t -> 0 because B'AB is
+  block-Hessenberg in the Kalman grading.  G_hat stays well conditioned as
+  t -> 0, which is what makes whitened norms and sampling factors accurate
+  deep into the small-time regime where the raw matrix has eigenvalues far
+  below machine precision relative to its trace.
 """
 
 from __future__ import annotations
@@ -45,21 +46,24 @@ TMIN = 1e-4
 _EPS = np.finfo(float).eps
 
 
-def _van_loan(spec: OperatorSpec, t: float) -> np.ndarray:
-    n = spec.n
+def _van_loan(A, Q, t: float) -> np.ndarray:
+    """int_0^t e^{sA} Q e^{sA'} ds from one block exponential at t / 2^m and
+    m doublings Q_{2s} = Q_s + e^{sA} Q_s e^{sA'}.  The doublings add
+    positive terms where the blocks of e^{tH} alone would cancel once A has
+    eigenvalues on both sides of the imaginary axis and t ||A|| is large."""
+    n = A.shape[0]
+    m = int(np.ceil(np.log2(max(t * np.linalg.norm(A, 1), 1.0))))
     H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = spec.A
-    H[:n, n:] = spec.Q
-    H[n:, n:] = -spec.A.T
-    E = matrix_exp(H, t)
-    Qt = E[:n, n:] @ E[:n, :n].T
+    H[:n, :n] = A
+    H[:n, n:] = Q
+    H[n:, n:] = -A.T
+    E = matrix_exp(H, t / 2**m)
+    eA = E[:n, :n]
+    Qt = E[:n, n:] @ eA.T
+    for _ in range(m):
+        Qt = Qt + eA @ Qt @ eA.T
+        eA = eA @ eA
     return 0.5 * (Qt + Qt.T)
-
-
-def _gl_nodes(a, b, m):
-    x, w = np.polynomial.legendre.leggauss(m)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
 
 
 def gramian_quadrature(spec: OperatorSpec, t: float, rel_tol=1e-12) -> np.ndarray:
@@ -68,9 +72,9 @@ def gramian_quadrature(spec: OperatorSpec, t: float, rel_tol=1e-12) -> np.ndarra
         raise ValueError("t must be positive")
 
     def integral(m):
-        nodes, weights = _gl_nodes(0.0, t, m)
+        x, wx = np.polynomial.legendre.leggauss(m)
         acc = np.zeros((spec.n, spec.n))
-        for s, w in zip(nodes, weights):
+        for s, w in zip(0.5 * t * (x + 1.0), 0.5 * t * wx):
             Es = matrix_exp(spec.A, s)
             acc += w * (Es @ spec.Q @ Es.T)
         return acc
@@ -92,18 +96,11 @@ def _scaled_gramian(spec: OperatorSpec, dec: KalmanDecomposition, t: float):
     for h, b in enumerate(dec.blocks):
         for i in b.index_set:
             exps[i - 1] = (2 * h + 1) / 2.0
-    dinv = t ** (-exps)
-    p = spec.p_tilde
-    root = spec.Q_sqrt[:, :p]
-    # G_hat = int_0^1 t * [D^{-1} B' e^{tuA} Q^{1/2}] [..]' du, panelized GL
-    panels = int(min(64, max(1, np.ceil(t * np.linalg.norm(spec.A, 2)))))
-    acc = np.zeros((spec.n, spec.n))
-    for j in range(panels):
-        nodes, weights = _gl_nodes(j / panels, (j + 1) / panels, 24)
-        for u, w in zip(nodes, weights):
-            C = dinv[:, None] * (dec.basis.T @ matrix_exp(spec.A, t * u) @ root)
-            acc += (w * t) * (C @ C.T)
-    return 0.5 * (acc + acc.T), exps
+    d = t**exps
+    B = dec.basis
+    A_hat = t * (B.T @ spec.A @ B) * (d[None, :] / d[:, None])
+    Q_hat = t * (B.T @ spec.Q @ B) / np.outer(d, d)
+    return _van_loan(A_hat, Q_hat, 1.0), exps
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,6 @@ class Gramian:
 
     t: float
     matrix: np.ndarray
-    eig: tuple  # (clamped eigenvalues, eigenvectors) of the matrix
     dec: KalmanDecomposition
     scaled: np.ndarray  # G_hat in the reference basis
     scaled_eig: tuple  # (raw eigenvalues, eigenvectors) of G_hat
@@ -156,23 +152,18 @@ class Gramian:
 
 
 def gramian(spec: OperatorSpec, t: float, dec: KalmanDecomposition | None = None) -> Gramian:
-    """Q_t by the Van Loan identity plus the scaled quadrature factorization."""
+    """Q_t and its scaled factorization, one block exponential each."""
     if t <= 0.0:
         raise ValueError("t must be positive")
     if dec is None:
         dec = spec.decomposition()
-    matrix = _van_loan(spec, t)
-    vals, vecs = np.linalg.eigh(matrix)
-    floor = max(_EPS * float(np.trace(matrix)), 1e-14)
     scaled, exps = _scaled_gramian(spec, dec, t)
-    svals, svecs = np.linalg.eigh(scaled)
     return Gramian(
         t=float(t),
-        matrix=matrix,
-        eig=(np.maximum(vals, floor), vecs),
+        matrix=_van_loan(spec.A, spec.Q, t),
         dec=dec,
         scaled=scaled,
-        scaled_eig=(svals, svecs),
+        scaled_eig=tuple(np.linalg.eigh(scaled)),
         exponents=exps,
     )
 

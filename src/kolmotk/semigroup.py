@@ -6,7 +6,8 @@ the full path, or by Girsanov reweighting, as the mean of f over linear
 endpoints weighted with the exponential martingale density.  Derivatives
 use common-random-number finite differences: every shifted start rides the
 same Brownian increments, so the difference quotient variance stays
-bounded as the step shrinks.
+bounded as the step shrinks.  When F == 0 the endpoints are drawn from
+their exact Gaussian law instead of stepped.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import SingularGramian
 from .gramian import TMIN, gramian
 from .holder import ScalarField
 from .operators import OperatorSpec, matrix_exp
-from .simulate import simulate_endpoints
+from .simulate import brownian_increments, simulate_endpoints
 
 __all__ = [
     "MCEstimate",
@@ -61,6 +62,22 @@ def _mean_stderr(values):
     return mean, float(values.std(ddof=1) / math.sqrt(n))
 
 
+def _endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=0, threads=1,
+               with_variation=False):
+    """``simulate_endpoints``, except that for F == 0 it draws the exact law
+    X_t = e^{tA} x + S xi with S S' = Q_t, and eta = e^{tA}: xi is the first n
+    normals of each path's own stream, shared by every start."""
+    if not spec.F.is_zero:
+        return simulate_endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=path_offset,
+                                  threads=threads, with_variation=with_variation)
+    eA = matrix_exp(spec.A, t)
+    xi = np.concatenate([brownian_increments(seed, pid, 1, spec.n, 1.0)
+                         for pid in range(path_offset, path_offset + n_paths)])
+    X = (np.atleast_2d(x0s) @ eA.T)[:, None, :] + xi @ gramian(spec, t).sqrt_factor().T
+    out = (X, X, np.zeros(X.shape[:2]))
+    return out + (np.broadcast_to(eA, X.shape + (spec.n,)),) if with_variation else out
+
+
 def evaluate(
     spec: OperatorSpec,
     f: ScalarField,
@@ -73,7 +90,8 @@ def evaluate(
     path_offset: int = 0,
     threads: int = 1,
 ) -> MCEstimate:
-    """Monte Carlo estimate of P_t f(x)."""
+    """Monte Carlo estimate of P_t f(x).  For F == 0 the endpoints are drawn
+    exactly from their Gaussian law and ``steps`` is ignored."""
     if budget < 2:
         raise ValueError("budget >= 2")
     if t < TMIN:
@@ -81,7 +99,7 @@ def evaluate(
     if method not in ("direct", "girsanov"):
         raise ValueError(f"unknown method {method!r}")
     steps = default_steps(t) if steps is None else steps
-    Z, X, logphi = simulate_endpoints(
+    Z, X, logphi = _endpoints(
         spec, np.asarray(x, dtype=float), t, steps, seed, budget,
         path_offset=path_offset, threads=threads,
     )
@@ -125,7 +143,9 @@ def derivative_estimate(
 
     ``fd``: central differences with shared noise across the shifted
     starts.  ``pathwise``: first order only, E[<grad f(X_t), eta_i>] using
-    the variation flow (requires ``f.grad``).
+    the variation flow (requires ``f.grad``).  For F == 0 the endpoints are
+    drawn exactly, one Gaussian per path shared by every start, the
+    variation flow is e^{tA}, and ``steps`` is ignored.
     """
     multi_index = tuple(int(i) for i in multi_index)
     if not (1 <= len(multi_index) <= 3):
@@ -141,7 +161,7 @@ def derivative_estimate(
             raise ValueError("pathwise estimator supports first derivatives only")
         if f.grad is None:
             raise ValueError("pathwise estimator needs a field gradient")
-        _, X, _, eta = simulate_endpoints(
+        _, X, _, eta = _endpoints(
             spec, x, t, steps, seed, budget, threads=threads, with_variation=True
         )
         col = eta[0][:, :, multi_index[0] - 1]
@@ -166,7 +186,7 @@ def derivative_estimate(
         points = new
     starts = np.stack([x + sh for sh, _ in points])
     weights = np.array([w for _, w in points])
-    _, X, _ = simulate_endpoints(spec, starts, t, steps, seed, budget, threads=threads)
+    _, X, _ = _endpoints(spec, starts, t, steps, seed, budget, threads=threads)
     values = np.tensordot(weights, f(X), axes=(0, 0))
     mean, stderr = _mean_stderr(values)
     return MCEstimate(mean, stderr, budget, int(seed), "fd")

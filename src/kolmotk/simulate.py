@@ -12,6 +12,7 @@ chunked across threads.
 from __future__ import annotations
 
 import concurrent.futures
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 CHUNK = 4096  # fixed path chunk; independent of thread count by design
+_local = threading.local()  # one re-keyed generator per thread: chunks run in a pool
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,17 @@ def path_rng(seed: int, path_id: int) -> np.random.Generator:
 
 
 def brownian_increments(seed, path_id, steps, n, dt):
-    rng = path_rng(seed, path_id)
+    """The stream of ``path_rng(seed, path_id)``, drawn by re-keying this
+    thread's Philox (key [path_id, seed], counter 0) instead of building
+    a generator per path."""
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([path_id, seed], np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     return rng.standard_normal((steps, n)) * np.sqrt(dt)
 
 

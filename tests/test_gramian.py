@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -131,3 +132,54 @@ def test_block_sqrt_norm_exponents():
         vals = [gramian(SPEC_2D, float(t), dec).block_sqrt_norm(h) for t in ts]
         slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
         assert abs(slope - expected) < 0.05
+
+
+@pytest.mark.parametrize("t", [1e-4, 1e-2, 1.0, 4.6])
+def test_scaled_gramian_of_shift_chain_is_time_independent(t):
+    expected = np.array([[1.0, 1 / 2, 1 / 6], [1 / 2, 1 / 3, 1 / 8], [1 / 6, 1 / 8, 1 / 20]])
+    assert np.allclose(gramian(SPEC_3D, t).scaled, expected, rtol=0.0, atol=1e-12)
+
+
+def _dilated_quadrature(spec, t):
+    g = gramian(spec, t)
+    dinv = t ** (-g.exponents)
+    return g.scaled, dinv[:, None] * (g.dec.basis.T @ gramian_quadrature(spec, t) @ g.dec.basis) * dinv
+
+
+@pytest.mark.parametrize("t", [0.01, 0.3, 1.5])
+def test_scaled_gramian_matches_quadrature_random_operator(t):
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(4, 4)) * 0.7
+    M = rng.normal(size=(2, 2))
+    spec = OperatorSpec(n=4, p_tilde=2, Q0=M @ M.T + 0.5 * np.eye(2), A=A,
+                        F=DriftField())
+    scaled, reference = _dilated_quadrature(spec, t)
+    assert np.allclose(scaled, reference, rtol=1e-9, atol=0.0)
+
+
+def test_van_loan_matches_quadrature_with_spectrum_on_both_sides():
+    """Eigenvalues -3.0, -0.43 +/- 0.63i and 0.90: at t = 10 the plain block
+    exponential loses seven digits to cancellation; the doublings keep them."""
+    A = [[-0.8, 0.25, -1.65, 0.65], [1.3, -0.45, 0.43, 0.25],
+         [0.0, 0.9, -2.0, 1.4], [0.0, 0.0, 1.1, 0.28]]
+    spec = OperatorSpec(n=4, p_tilde=1, Q0=[[1.5]], A=A, F=DriftField())
+    t = 10.0
+    assert np.allclose(gramian(spec, t).matrix, gramian_quadrature(spec, t), rtol=1e-9, atol=0.0)
+    scaled, reference = _dilated_quadrature(spec, t)
+    assert np.allclose(scaled, reference, rtol=1e-9, atol=0.0)
+
+
+def test_gramian_makes_two_matrix_exponentials(monkeypatch):
+    module = importlib.import_module("kolmotk.gramian")
+    calls = []
+    original = module.matrix_exp
+
+    def counting(M, t=1.0):
+        calls.append(t)
+        return original(M, t)
+
+    monkeypatch.setattr(module, "matrix_exp", counting)
+    for t in (1e-3, 0.5, 4.6):
+        calls.clear()
+        gramian(SPEC_3D, t)
+        assert len(calls) == 2

@@ -155,3 +155,28 @@ def test_parabolic_matches_cosine_oracle_without_source():
 def test_oracles_require_zero_drift():
     with pytest.raises(ValueError):
         ou_cosine_expectation(SPEC_NL, COS.wave_vector, 0.5, X0)
+
+
+def test_zero_drift_ignores_steps_and_threads():
+    """F == 0 is sampled exactly: no step grid, no thread chunking, and the
+    Girsanov weight is identically one."""
+    runs = [evaluate(SPEC_OU, COS, 0.3, X0, 5000, 11, method=m, steps=s, threads=th)
+            for m in ("direct", "girsanov") for s in (None, 3, 500) for th in (1, 4)]
+    assert len({(e.mean, e.stderr) for e in runs}) == 1
+    for method, multi_index in (("fd", (1, 2)), ("fd", (2, 2, 2)), ("pathwise", (2,))):
+        ests = {derivative_estimate(SPEC_OU, COS, 0.3, X0, multi_index, 5000, 12,
+                                    method=method, steps=s, threads=th)
+                for s in (None, 3, 500) for th in (1, 4)}
+        assert len(ests) == 1
+
+
+def test_fd_derivative_of_linear_field_shares_noise():
+    """<a, X_t> has the derivative <a, e^{tA} e_i>; with one draw shared by
+    both starts the difference quotient is the same on every path."""
+    a = np.array([0.7, -1.3])
+    linear = ScalarField.from_callable(lambda x: x @ a, 2)
+    t = 0.4
+    for i in (1, 2):
+        est = derivative_estimate(SPEC_OU, linear, t, X0, (i,), 2000, 5)
+        assert np.isclose(est.mean, a @ matrix_exp(SPEC_OU.A, t)[:, i - 1], rtol=1e-9)
+        assert est.stderr < 1e-10

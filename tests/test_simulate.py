@@ -1,5 +1,7 @@
+import concurrent.futures
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from kolmotk import (
     variation_flow_along_path,
     write_path_csv,
 )
+from kolmotk.simulate import brownian_increments, path_rng
 
 SPEC_OU = OperatorSpec(n=2, p_tilde=1, Q0=[[1.0]], A=[[0.0, 0.0], [1.0, 1.0]],
                        F=DriftField())
@@ -174,3 +177,22 @@ def test_write_path_csv_format():
     assert first[:3] == ["0", "0", "0.0"]
     # round-trip float formatting
     assert float(lines[2].split(",")[3]) == b.Z[1, 0]
+
+
+def test_rekeyed_stream_equals_path_rng():
+    """Re-keying one generator per thread reproduces each path's own
+    stream, also with draws interleaved across threads."""
+    cases = [(0, 0), (7, 3), (2**32 - 5, 2**40), (5, 2**40 + 17)] * 8
+
+    def draw(case):
+        return brownian_increments(*case, 6, 3, 0.25)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            drawn = list(pool.map(draw, cases, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for (seed, pid), dw in zip(cases, drawn):
+        assert np.array_equal(dw, path_rng(seed, pid).standard_normal((6, 3)) * 0.5)
