@@ -36,20 +36,18 @@ from .kalman import (
     Block,
     KalmanDecomposition,
     decompose,
-    distance,
     kalman_index,
-    quasi_norm,
 )
 from .operators import DriftField, DriftTerm, OperatorSpec, matrix_exp
 from .semigroup import (
     MCEstimate,
     QuadratureScheme,
+    cosine_propagator,
     default_steps,
     derivative_estimate,
     elliptic_cosine_oracle_field,
     evaluate,
     ou_cosine_expectation,
-    parabolic_cosine_oracle,
     solve_elliptic,
     solve_parabolic,
 )
@@ -101,21 +99,19 @@ __all__ = [
     "Block",
     "KalmanDecomposition",
     "decompose",
-    "distance",
     "kalman_index",
-    "quasi_norm",
     "DriftField",
     "DriftTerm",
     "OperatorSpec",
     "matrix_exp",
     "MCEstimate",
     "QuadratureScheme",
+    "cosine_propagator",
     "default_steps",
     "derivative_estimate",
     "elliptic_cosine_oracle_field",
     "evaluate",
     "ou_cosine_expectation",
-    "parabolic_cosine_oracle",
     "solve_elliptic",
     "solve_parabolic",
     "PathBundle",

@@ -127,8 +127,7 @@ def cmd_solve(cfg: RunConfig, args):
     if "lambda" in cfg.params:
         f = cfg.require("field")
         lam = float(cfg.require("lambda"))
-        amp = getattr(f, "amplitude", None)
-        f_sup = abs(amp) if amp is not None else abs(float(f(x[None, :])[0]))
+        f_sup = float(np.abs(f.coeffs).sum())
         scheme = QuadratureScheme.build(
             lam, max(1.0, f_sup), tol=cfg.param("tol", 1e-4), paths_per_node=paths
         )
@@ -213,6 +212,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
+        if args.seed is not None and not 0 <= args.seed < 2**64:
+            raise ConfigError("--seed must be an integer in [0, 2**64)")
+        if args.budget is not None and args.budget < 2:
+            raise ConfigError("--budget must be >= 2")
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, NotHypoelliptic) as exc:
         print(f"error: {exc}", file=sys.stderr)

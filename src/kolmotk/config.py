@@ -124,11 +124,12 @@ def field_from_config(doc, n) -> ScalarField:
 
 
 def _field_to_dict(f: ScalarField):
-    if hasattr(f, "wave_vector"):
-        return {"type": "cos", "w": list(map(float, f.wave_vector)), "amplitude": f.amplitude}
-    if f.label.startswith("const("):
-        return {"type": "const", "value": float(f.label[6:-1])}
-    raise ConfigError(f"field '{f.label}' has no JSON encoding")
+    if f.waves is None or len(f.coeffs) != 1:
+        raise ConfigError("only constant and single-cosine fields have a JSON encoding")
+    c, box = float(f.coeffs[0]), f.box.tolist()
+    if not f.waves.any():
+        return {"type": "const", "value": c, "box": box}
+    return {"type": "cos", "w": f.waves[0].tolist(), "amplitude": c, "box": box}
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,11 @@ def parse_config(doc) -> RunConfig:
         if key in params:
             if not isinstance(params[key], int) or params[key] < 0:
                 raise ConfigError(f"'{key}' must be a non-negative integer")
+    if params.get("seed", 0) >= 2**64:
+        raise ConfigError("'seed' must be below 2**64")
+    for key in ("budget", "paths_per_node"):
+        if params.get(key, 2) < 2:
+            raise ConfigError(f"'{key}' must be at least 2")
     for key in ("t", "lambda", "theta", "gamma", "q", "tol"):
         if key in params and not isinstance(params[key], (int, float)):
             raise ConfigError(f"'{key}' must be a number")

@@ -5,12 +5,14 @@ here it is estimated from below by a seeded sampling protocol so that
 ratios of seminorms are reproducible and comparable.  Per sample: a block
 is drawn uniformly, a direction on the unit sphere of that block, a scale
 log-uniform in [SCALE_MIN, 1], and a base point uniform in the box shrunk
-to fit the four-point stencil.
+to fit the four-point stencil.  A field is a cosine mixture
+sum_j c_j cos(<w_j, x>), with a constant as the w = 0 term, or an
+arbitrary callable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,13 +38,17 @@ class ScalarField:
     """A bounded scalar field with a vectorized evaluator and a box domain.
 
     ``eval`` maps arrays of shape (..., n) to shape (...).  ``grad`` is an
-    optional gradient callable used by pathwise derivative estimators.
+    optional gradient callable used by pathwise derivative estimators.  A
+    cosine mixture sum_j c_j cos(<w_j, x>) also carries ``coeffs`` (J,) and
+    ``waves`` (J, n), which closed-form oracles and the config encoding
+    read; both are None for a field built from an arbitrary callable.
     """
 
     eval: callable
     box: np.ndarray  # (n, 2) per-axis [lo, hi]
-    label: str = ""
     grad: callable | None = field(default=None, compare=False)
+    coeffs: np.ndarray | None = field(default=None, compare=False)
+    waves: np.ndarray | None = field(default=None, compare=False)
 
     def __call__(self, x):
         return self.eval(np.asarray(x, dtype=float))
@@ -61,32 +67,28 @@ class ScalarField:
         return np.array([[-half_width, half_width]] * n, dtype=float)
 
     @classmethod
-    def from_callable(cls, fn, n, label="", box=None, grad=None):
+    def from_callable(cls, fn, n, box=None, grad=None):
         box = cls.default_box(n) if box is None else np.asarray(box, dtype=float)
-        return cls(eval=fn, box=box, label=label, grad=grad)
+        return cls(eval=fn, box=box, grad=grad)
+
+    @classmethod
+    def mixture(cls, coeffs, waves, box=None):
+        """sum_j coeffs[j] cos(<waves[j], x>), with its gradient."""
+        c = np.array(coeffs, dtype=float).reshape(-1)
+        W = np.array(waves, dtype=float).reshape(c.size, -1)
+        f = cls.from_callable(lambda x: np.cos(x @ W.T) @ c, W.shape[1], box=box,
+                              grad=lambda x: -(np.sin(x @ W.T) * c) @ W)
+        return replace(f, coeffs=c, waves=W)
 
     @classmethod
     def constant(cls, value, n, box=None):
-        v = float(value)
-        return cls.from_callable(
-            lambda x: np.full(x.shape[:-1], v), n, label=f"const({v:g})", box=box
-        )
+        """The w = 0 term of a mixture."""
+        return cls.mixture([value], np.zeros((1, n)), box=box)
 
     @classmethod
     def cosine(cls, w, amplitude=1.0, box=None):
-        """amplitude * cos(<w, x>); keeps ``w`` inspectable for oracles."""
-        w = np.asarray(w, dtype=float)
-        a = float(amplitude)
-        f = cls.from_callable(
-            lambda x: a * np.cos(x @ w),
-            w.size,
-            label=f"{a:g}*cos(<w,x>), |w|={np.linalg.norm(w):g}",
-            box=box,
-            grad=lambda x: (-a * np.sin(x @ w))[..., None] * w,
-        )
-        object.__setattr__(f, "wave_vector", w)
-        object.__setattr__(f, "amplitude", a)
-        return f
+        """amplitude * cos(<w, x>), a one-term mixture."""
+        return cls.mixture([amplitude], [w], box=box)
 
 
 @dataclass(frozen=True)

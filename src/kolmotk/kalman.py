@@ -22,8 +22,6 @@ __all__ = [
     "KalmanDecomposition",
     "kalman_index",
     "decompose",
-    "quasi_norm",
-    "distance",
 ]
 
 DEFAULT_RANK_TOL = 1e-10
@@ -176,11 +174,3 @@ def decompose(spec: OperatorSpec, tol: float = DEFAULT_RANK_TOL) -> KalmanDecomp
         )
     full = np.column_stack([b.basis for b in blocks])
     return KalmanDecomposition(k=k, blocks=tuple(blocks), basis=_frozen(full), rank_tol=tol)
-
-
-def quasi_norm(dec: KalmanDecomposition, x):
-    return dec.quasi_norm(x)
-
-
-def distance(dec: KalmanDecomposition, x, y):
-    return dec.distance(x, y)

@@ -165,14 +165,6 @@ class OperatorSpec:
 
     # --- derived matrices -------------------------------------------------
 
-    @property
-    def nu1(self):
-        return float(np.linalg.eigvalsh(self.Q0)[0])
-
-    @property
-    def nu2(self):
-        return float(np.linalg.eigvalsh(self.Q0)[-1])
-
     def _cached(self, key, builder):
         cache = self._cache
         if key not in cache:

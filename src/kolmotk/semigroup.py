@@ -7,7 +7,9 @@ endpoints weighted with the exponential martingale density.  Derivatives
 use common-random-number finite differences: every shifted start rides the
 same Brownian increments, so the difference quotient variance stays
 bounded as the step shrinks.  When F == 0 the endpoints are drawn from
-their exact Gaussian law instead of stepped.
+their exact Gaussian law instead of stepped, and ``cosine_propagator``
+maps a cosine mixture through P_t in closed form: every zero-drift oracle
+is that map followed by a quadrature sum.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ __all__ = [
     "derivative_estimate",
     "solve_elliptic",
     "solve_parabolic",
+    "cosine_propagator",
     "ou_cosine_expectation",
     "elliptic_cosine_oracle_field",
-    "parabolic_cosine_oracle",
     "default_steps",
 ]
 
@@ -258,17 +260,15 @@ def solve_elliptic(
     dropped (bounded by ``scheme.tail_bound``).
     """
     x = np.asarray(x, dtype=float)
-    head = float(f(x[None, :])[0]) * (1.0 - math.exp(-lam * scheme.t_min)) / lam
-    ts, ws = scheme.nodes()
-    total = head
+    ts, coeffs = _resolvent_nodes(lam, scheme)
+    total = coeffs[0] * float(f(x[None, :])[0])
     var = 0.0
     n_paths = 0
-    for j, (t, w) in enumerate(zip(ts, ws)):
+    for j, (t, coeff) in enumerate(zip(ts[1:], coeffs[1:])):
         est = evaluate(
             spec, f, float(t), x, scheme.paths_per_node, seed,
             path_offset=j * scheme.paths_per_node, threads=threads,
         )
-        coeff = w * math.exp(-lam * t)
         total += coeff * est.mean
         var += (coeff * est.stderr) ** 2
         n_paths += est.n_paths
@@ -319,51 +319,49 @@ def solve_parabolic(
 # --- closed-form oracles for the zero-drift case ----------------------------
 
 
-def ou_cosine_expectation(spec: OperatorSpec, w, t: float, x, amplitude: float = 1.0) -> float:
-    """P_t [a cos(<w, .>)](x) for F == 0:  a e^{-<Q_t w, w>/2} cos(<w, e^{tA} x>)."""
+def cosine_propagator(spec: OperatorSpec, f: ScalarField, times, weights) -> ScalarField:
+    """sum_i weights[i] P_{t_i} f in closed form, for F == 0 and a cosine
+    mixture f: P_t maps c cos(<w, .>) to c e^{-<Q_t w, w>/2} cos(<e^{tA'} w, .>),
+    and t = 0 gives P_0 f = f."""
     if not spec.F.is_zero:
         raise ValueError("oracle requires zero nonlinear drift")
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    Qt = gramian(spec, t).matrix
-    return amplitude * math.exp(-0.5 * float(w @ Qt @ w)) * math.cos(float(w @ matrix_exp(spec.A, t) @ x))
+    if f.waves is None:
+        raise ValueError("oracle requires a cosine-mixture field")
+    W = f.waves
+    coeffs, waves = [], []
+    for t, weight in zip(times, weights):
+        t = float(t)
+        if t == 0.0:
+            eA, Qt = np.eye(spec.n), np.zeros((spec.n, spec.n))
+        else:
+            eA, Qt = matrix_exp(spec.A, t), gramian(spec, t).matrix
+        coeffs.append(weight * f.coeffs * np.exp(-0.5 * np.einsum("jm,mn,jn->j", W, Qt, W)))
+        waves.append(W @ eA)
+    return ScalarField.mixture(np.concatenate(coeffs), np.vstack(waves), box=f.box)
 
 
-def _cosine_quadrature_terms(spec, w, lam, scheme):
+def _resolvent_nodes(lam, scheme):
+    """Times and weights of int_0^inf e^{-lam t} P_t dt on the scheme: the
+    [0, t_min] head is taken at t = 0, then the Gauss-Legendre nodes."""
     ts, ws = scheme.nodes()
-    coeffs = []
-    waves = []
-    for t, wq in zip(ts, ws):
-        Qt = gramian(spec, float(t)).matrix
-        coeffs.append(wq * math.exp(-lam * t) * math.exp(-0.5 * float(w @ Qt @ w)))
-        waves.append(matrix_exp(spec.A, float(t)).T @ w)
-    return np.array(coeffs), np.stack(waves)
+    head = (1.0 - math.exp(-lam * scheme.t_min)) / lam
+    return np.concatenate([[0.0], ts]), np.concatenate([[head], ws * np.exp(-lam * ts)])
+
+
+def ou_cosine_expectation(spec: OperatorSpec, w, t: float, x, amplitude: float = 1.0) -> float:
+    """P_t [a cos(<w, .>)](x) for F == 0:  a e^{-<Q_t w, w>/2} cos(<w, e^{tA} x>)."""
+    return float(cosine_propagator(spec, ScalarField.cosine(w, amplitude), [t], [1.0])(x))
 
 
 def elliptic_cosine_oracle_field(
     spec: OperatorSpec, w, lam: float, scheme: QuadratureScheme, amplitude: float = 1.0,
     box=None,
 ) -> ScalarField:
-    """Deterministic resolvent of a cosine field for F == 0.
+    """Deterministic resolvent of a cosine field for F == 0, on the same
+    quadrature as ``solve_elliptic``.
 
     Returns u as a closed-form cosine sum, cheap to evaluate anywhere;
     used as the no-Monte-Carlo pipeline in oracle checks.
     """
-    if not spec.F.is_zero:
-        raise ValueError("oracle requires zero nonlinear drift")
-    w = np.asarray(w, dtype=float)
-    coeffs, waves = _cosine_quadrature_terms(spec, w, lam, scheme)
-    head = (1.0 - math.exp(-lam * scheme.t_min)) / lam
-    all_waves = np.vstack([w[None, :], waves])
-    all_coeffs = amplitude * np.concatenate([[head], coeffs])
-
-    def u(x):
-        return np.cos(x @ all_waves.T) @ all_coeffs
-
-    f = ScalarField.from_callable(u, spec.n, label=f"resolvent(cos, lam={lam:g})", box=box)
-    return f
-
-
-def parabolic_cosine_oracle(spec: OperatorSpec, w, t: float, x, amplitude: float = 1.0) -> float:
-    """Oracle for v = P_t g with g = a cos(<w, .>), H == 0 and F == 0."""
-    return ou_cosine_expectation(spec, w, t, x, amplitude=amplitude)
+    f = ScalarField.cosine(w, amplitude, box=box)
+    return cosine_propagator(spec, f, *_resolvent_nodes(lam, scheme))

@@ -159,7 +159,7 @@ def _taylor4_apply(J, dt, V):
     return out
 
 
-def _simulate_chunk(spec, x0s, t, steps, seed, ids, plain_euler, with_variation):
+def _simulate_chunk(spec, x0s, t, steps, seed, ids, with_variation):
     """Advance a chunk of paths for every start in x0s, sharing noise.
 
     Returns endpoint arrays (m, c, n), (m, c, n), (m, c) and optionally
@@ -170,9 +170,6 @@ def _simulate_chunk(spec, x0s, t, steps, seed, ids, plain_euler, with_variation)
     c = len(ids)
     dt = t / steps
     eAdt, eAS = _step_matrices(spec, dt)
-    if plain_euler:
-        eAdt = np.eye(n) + dt * spec.A
-        eAS = spec.Q_sqrt
     dW = np.empty((c, steps, n))
     for j, pid in enumerate(ids):
         dW[j] = brownian_increments(seed, pid, steps, n, dt)
@@ -210,7 +207,6 @@ def simulate_endpoints(
     n_paths: int,
     path_offset: int = 0,
     threads: int = 1,
-    plain_euler: bool = False,
     with_variation: bool = False,
 ):
     """Endpoint batch for several starts sharing per-path noise.
@@ -227,7 +223,7 @@ def simulate_endpoints(
     ]
 
     def run(ids):
-        return _simulate_chunk(spec, x0s, t, steps, seed, list(ids), plain_euler, with_variation)
+        return _simulate_chunk(spec, x0s, t, steps, seed, list(ids), with_variation)
 
     if threads > 1 and len(chunks) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:

@@ -118,7 +118,7 @@ def test_criterion_07_gaussian_oracle():
     for scale in (0.5, 1.0, 2.0):
         f = k.ScalarField.cosine(scale * w0)
         for t in (0.1, 0.5, 1.0):
-            oracle = k.ou_cosine_expectation(SPEC_2D, f.wave_vector, t, x)
+            oracle = k.ou_cosine_expectation(SPEC_2D, f.waves[0], t, x)
             est = k.evaluate(SPEC_2D, f, t, x, 20000, 55, threads=4)
             z = abs(est.mean - oracle) / max(est.stderr, 1e-15)
             worst = max(worst, z)

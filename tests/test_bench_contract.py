@@ -1,0 +1,45 @@
+"""The library names and parameters that the benchmark in perfbench/ binds.
+
+Each workload is built against this checkout's kolmotk and plays its first
+request under the benchmark's span tracer, as a traced benchmark run does:
+every check must pass and the per-layer metrics must come out.  A renamed
+function, parameter or provenance key then fails here, not in a benchmark
+run that ends without results.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import kolmotk
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from stats import nominal_steps  # noqa: E402
+from tracing import Tracer, layer_metrics  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+# a per-layer metric each workload must move: it reads parameters that the
+# tracer binds by name (steps and n_paths, scheme, budget)
+LAYER_METRIC = {
+    "drift_mc": "simulate.path_steps",
+    "gauss_oracle": "semigroup.solve_s_per_node",
+    "scaling_verify": "holder.samples",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_request_passes_under_tracer(name):
+    w = WORKLOADS[name](kolmotk, 1)
+    r = w.request(0)
+    tracer = Tracer()
+    with tracer.installed(), tracer.span(f"request.{name}"):
+        out = w.run(r)
+    failed = [(op, detail) for op, ok, detail in w.check(r, out) if not ok]
+    assert not failed
+    metrics = layer_metrics(tracer.spans, nominal_steps)
+    assert metrics[LAYER_METRIC[name]] > 0
+    if name == "scaling_verify":
+        # read with a default by the workload, so a rename would pass unseen
+        rep = next(res for label, res, _ in out if label == "schauder_ratio")
+        assert {"ratios_base", "ratios_doubled"} <= set(rep.provenance)

@@ -56,6 +56,23 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, extra, flags", [
+    ("evaluate", {}, ["--seed", "-1"]),
+    ("evaluate", {}, ["--seed", str(2**64)]),
+    ("evaluate", {"seed": 2**64}, []),
+    ("evaluate", {}, ["--budget", "1"]),
+    ("evaluate", {"budget": 1}, []),
+    ("solve", {"lambda": 1.0, "paths_per_node": 1}, []),
+], ids=["flag-seed-negative", "flag-seed-2**64", "config-seed-2**64", "flag-budget-1",
+        "config-budget-1", "config-paths-per-node-1"])
+def test_bad_seed_and_budget_exit_code(tmp_path, capsys, command, extra, flags):
+    doc = {"operator": OP_2D, "t": 0.5, "field": {"type": "const", "value": 1.0}, **extra}
+    cfg = write_cfg(tmp_path, doc)
+    assert run([command, "--config", cfg, "--out", str(tmp_path), *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys):
     doc = {"operator": OP_2D, "t": 1e-6, "budget": 100,
            "field": {"type": "const", "value": 1.0}}

@@ -29,8 +29,8 @@ def test_parse_valid_document():
     assert len(spec.F.terms) == 1
     assert cfg.param("seed") == 7
     f = cfg.param("field")
-    assert np.allclose(f.wave_vector, [1.0, 0.5])
-    assert f.amplitude == 2.0
+    assert np.allclose(f.waves[0], [1.0, 0.5])
+    assert f.coeffs[0] == 2.0
 
 
 def test_unknown_keys_rejected_everywhere():
@@ -98,9 +98,19 @@ def test_round_trip():
         assert np.array_equal(t1.a, t2.a)
     assert cfg2.param("seed") == cfg.param("seed")
     f1, f2 = cfg.param("field"), cfg2.param("field")
-    assert np.allclose(f1.wave_vector, f2.wave_vector)
+    assert np.allclose(f1.waves[0], f2.waves[0])
     # a second round trip is exact
     assert config_to_dict(cfg2) == doc2
+
+
+def test_round_trip_keeps_constant_value_and_box_exactly():
+    box = [[-1.0, 2.5], [0.0, 3.0]]
+    doc = dict(DOC, fields=[{"type": "const", "value": 0.1234567, "box": box},
+                            {"type": "cos", "w": [1.0, 0.5], "amplitude": 2.0, "box": box}])
+    out = config_to_dict(parse_config(doc))["fields"]
+    assert out[0]["value"] == 0.1234567
+    assert [d["box"] for d in out] == [box, box]
+    assert out[1]["w"] == [1.0, 0.5] and out[1]["amplitude"] == 2.0
 
 
 def test_load_config(tmp_path):

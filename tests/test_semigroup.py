@@ -10,12 +10,12 @@ from kolmotk import (
     QuadratureScheme,
     ScalarField,
     SingularGramian,
+    cosine_propagator,
     derivative_estimate,
     elliptic_cosine_oracle_field,
     evaluate,
     matrix_exp,
     ou_cosine_expectation,
-    parabolic_cosine_oracle,
     solve_elliptic,
     solve_parabolic,
 )
@@ -37,9 +37,36 @@ def test_evaluate_constant_field_is_exact():
 
 def test_evaluate_matches_gaussian_oracle():
     for t in (0.1, 0.5, 1.0):
-        oracle = ou_cosine_expectation(SPEC_OU, COS.wave_vector, t, X0)
+        oracle = ou_cosine_expectation(SPEC_OU, COS.waves[0], t, X0)
         est = evaluate(SPEC_OU, COS, t, X0, 20000, 42)
         assert abs(est.mean - oracle) < 4.0 * est.stderr
+
+
+def test_cosine_propagator_sums_single_term_oracles():
+    w1, w2 = np.array([1.0, 0.5]), np.array([-2.0, 0.75])
+    f = ScalarField.mixture([0.7, -1.3], [w1, w2])
+    times, weights = [0.0, 0.2, 1.1], [0.5, 2.0, -0.25]
+    u = cosine_propagator(SPEC_OU, f, times, weights)
+    for x in (X0, np.array([-1.5, 0.8])):
+        expected = sum(
+            wt * (ou_cosine_expectation(SPEC_OU, w1, t, x, 0.7)
+                  + ou_cosine_expectation(SPEC_OU, w2, t, x, -1.3))
+            if t > 0 else wt * float(f(x))
+            for t, wt in zip(times, weights)
+        )
+        assert np.isclose(float(u(x)), expected, rtol=1e-12, atol=1e-14)
+    with pytest.raises(ValueError):
+        cosine_propagator(SPEC_NL, f, [0.5], [1.0])
+    with pytest.raises(ValueError):
+        cosine_propagator(SPEC_OU, ScalarField.from_callable(np.sin, 2), [0.5], [1.0])
+
+
+def test_mixture_gradient_matches_central_differences():
+    f = ScalarField.mixture([0.7, -1.3, 2.0], [[1.0, 0.5], [-2.0, 0.75], [0.0, 0.0]])
+    x = np.array([[0.3, -0.4], [1.2, 0.9]])
+    h = 1e-6
+    fd = np.stack([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(2)], axis=-1)
+    assert np.allclose(f.grad(x), fd, rtol=1e-7, atol=1e-8)
 
 
 def test_girsanov_agrees_with_direct():
@@ -66,7 +93,7 @@ def test_evaluate_validation():
 
 def oracle_gradient(t, x):
     """Gradient of P_t cos-field for the OU case, from the closed form."""
-    w = COS.wave_vector
+    w = COS.waves[0]
     from kolmotk import gramian
 
     Qt = gramian(SPEC_OU, t).matrix
@@ -86,7 +113,7 @@ def test_first_derivative_both_methods():
 
 def test_second_derivative_fd():
     t = 0.3
-    w = COS.wave_vector
+    w = COS.waves[0]
     from kolmotk import gramian
 
     Qt = gramian(SPEC_OU, t).matrix
@@ -131,7 +158,7 @@ def test_elliptic_matches_cosine_oracle():
     lam = 1.0
     scheme = QuadratureScheme.build(lam, 1.0, paths_per_node=2000)
     u = solve_elliptic(SPEC_OU, COS, lam, X0, scheme, 5)
-    oracle = elliptic_cosine_oracle_field(SPEC_OU, COS.wave_vector, lam, scheme)
+    oracle = elliptic_cosine_oracle_field(SPEC_OU, COS.waves[0], lam, scheme)
     assert abs(u.mean - float(oracle(X0[None, :])[0])) < 4.0 * u.stderr
 
 
@@ -148,13 +175,13 @@ def test_parabolic_matches_cosine_oracle_without_source():
     scheme = QuadratureScheme.build(1.0, 1.0, paths_per_node=20000)
     t = 0.5
     v = solve_parabolic(SPEC_OU, COS, None, t, X0, scheme, 5)
-    oracle = parabolic_cosine_oracle(SPEC_OU, COS.wave_vector, t, X0)
+    oracle = ou_cosine_expectation(SPEC_OU, COS.waves[0], t, X0)
     assert abs(v.mean - oracle) < 4.0 * v.stderr
 
 
 def test_oracles_require_zero_drift():
     with pytest.raises(ValueError):
-        ou_cosine_expectation(SPEC_NL, COS.wave_vector, 0.5, X0)
+        ou_cosine_expectation(SPEC_NL, COS.waves[0], 0.5, X0)
 
 
 def test_zero_drift_ignores_steps_and_threads():

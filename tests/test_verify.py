@@ -150,6 +150,35 @@ def test_parabolic_schauder_ratio():
                                        0.5, (0.5,), budget=10, seed=0)
 
 
+def test_parabolic_schauder_ratio_builds_each_cauchy_field_once(monkeypatch):
+    import kolmotk.semigroup
+    import kolmotk.verify
+
+    calls = []
+
+    def counted(original):
+        def gramian(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+        return gramian
+
+    for module in (kolmotk.semigroup, kolmotk.verify):
+        monkeypatch.setattr(module, "gramian", counted(module.gramian))
+    check_parabolic_schauder_ratio(SPEC_2D, SPEC_2D.decomposition(),
+                                   [ScalarField.cosine([1.0, 0.5])], 0.5, (0.5,),
+                                   budget=50, seed=6)
+    # the head P_t g and 32 source nodes, for both budgets
+    assert len(calls) == 33
+
+
+def test_schauder_ratio_constant_field_is_exact_under_drift():
+    c, lam = 0.1234567, 2.0
+    rep = check_schauder_ratio(SPEC_NL, SPEC_NL.decomposition(),
+                               [ScalarField.constant(c, 2)], 0.5, lam, budget=50, seed=4,
+                               scheme=QuadratureScheme.build(lam, 1.0, paths_per_node=2))
+    assert rep.provenance["ratios_base"] == [1.0 / lam]
+
+
 def test_reports_are_reproducible():
     reports1 = check_flow_moments(SPEC_NL, SPEC_NL.decomposition(), 2.0,
                                   np.geomspace(1e-2, 1e-1, 4), 2000, 13)
