@@ -55,7 +55,7 @@ from .simulate import (
     PathBundle,
     PathGrid,
     deterministic_flow,
-    sample_ou_endpoint,
+    girsanov_endpoints,
     sample_ou_endpoints,
     simulate_bundle,
     simulate_endpoints,
@@ -117,7 +117,7 @@ __all__ = [
     "PathBundle",
     "PathGrid",
     "deterministic_flow",
-    "sample_ou_endpoint",
+    "girsanov_endpoints",
     "sample_ou_endpoints",
     "simulate_bundle",
     "simulate_endpoints",

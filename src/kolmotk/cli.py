@@ -122,7 +122,7 @@ def cmd_solve(cfg: RunConfig, args):
     spec = cfg.operator
     x = np.array(cfg.param("x", [0.0] * spec.n), dtype=float)
     seed = args.seed if args.seed is not None else cfg.param("seed", 0)
-    paths = cfg.param("paths_per_node", args.budget or 1000)
+    paths = args.budget if args.budget is not None else cfg.param("paths_per_node", 1000)
     header = ("kind", "parameter", "mean", "stderr", "n_paths", "seed")
     if "lambda" in cfg.params:
         f = cfg.require("field")

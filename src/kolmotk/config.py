@@ -8,6 +8,7 @@ the document are rejected before any computation runs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,12 @@ def _matrix(value, where, shape=None):
     if shape is not None and m.shape != shape:
         raise ConfigError(f"{where} must have shape {shape}, got {m.shape}")
     return m
+
+
+def _is_number(v):
+    """A finite JSON number: not a bool, NaN, infinity or an integer beyond
+    the float range."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def operator_from_config(doc) -> OperatorSpec:
@@ -154,24 +161,30 @@ def parse_config(doc) -> RunConfig:
     _reject_unknown(doc, _TOP_KEYS, "config")
     operator = operator_from_config(_require(doc, "operator", "config"))
     params = {k: v for k, v in doc.items() if k != "operator"}
-    for key in ("seed", "threads", "budget", "n_paths", "steps", "paths_per_node"):
-        if key in params:
-            if not isinstance(params[key], int) or params[key] < 0:
-                raise ConfigError(f"'{key}' must be a non-negative integer")
+    lowest = {"seed": 0, "threads": 0, "budget": 2, "n_paths": 0, "steps": 1,
+              "paths_per_node": 2, "dump_paths": 0}
+    for key, low in lowest.items():
+        v = params.get(key, low)
+        if isinstance(v, bool) or not isinstance(v, int) or v < low:
+            raise ConfigError(f"'{key}' must be an integer >= {low}")
     if params.get("seed", 0) >= 2**64:
         raise ConfigError("'seed' must be below 2**64")
-    for key in ("budget", "paths_per_node"):
-        if params.get(key, 2) < 2:
-            raise ConfigError(f"'{key}' must be at least 2")
     for key in ("t", "lambda", "theta", "gamma", "q", "tol"):
-        if key in params and not isinstance(params[key], (int, float)):
-            raise ConfigError(f"'{key}' must be a number")
+        if key in params and not _is_number(params[key]):
+            raise ConfigError(f"'{key}' must be a finite number")
     for key in ("t_grid", "s_grid", "x"):
         if key in params:
-            arr = np.array(params[key], dtype=float)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ConfigError(f"'{key}' must be a non-empty flat array")
-            params[key] = [float(v) for v in arr]
+            v = params[key]
+            if not (isinstance(v, (list, tuple)) and v and all(map(_is_number, v))):
+                raise ConfigError(f"'{key}' must be a non-empty flat array of finite numbers")
+            params[key] = [float(e) for e in v]
+    for key in ("t", "lambda"):
+        if params.get(key, 1) <= 0:
+            raise ConfigError(f"'{key}' must be positive")
+    if min(params.get("t_grid", [1])) <= 0:
+        raise ConfigError("every 't_grid' entry must be positive")
+    if len(params.get("x", [0] * operator.n)) != operator.n:
+        raise ConfigError(f"'x' must have length {operator.n}")
     if "method" in params and params["method"] not in ("direct", "girsanov"):
         raise ConfigError("'method' must be 'direct' or 'girsanov'")
     if "field" in params:

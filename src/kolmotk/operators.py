@@ -8,7 +8,8 @@ An operator is the triple (Q0, A, F) acting as
 where Q embeds the positive definite block Q0 in the first ``p_tilde``
 coordinates and F pushes only into those coordinates.  The nonlinear drift
 is restricted to sums of tanh ridge functions, which keeps all derivatives
-up to third order bounded by construction and available in closed form.
+bounded by construction.  ``DriftField`` stacks its terms into three arrays
+once, so F and DF are each one matrix product over any batch of points.
 """
 
 from __future__ import annotations
@@ -57,13 +58,24 @@ class DriftTerm:
 
 
 class DriftField:
-    """Sum of tanh ridge terms with closed-form derivatives up to order 3.
+    """Sum of tanh ridge terms, F(x) = tanh(x a + b) c with the terms
+    stacked once: a (n, T) holds the ridge directions as columns, b (T,)
+    the offsets and c (T, n) each amplitude in its target coordinate.
 
     The empty term list represents F == 0.
     """
 
     def __init__(self, terms=()):
         self.terms = tuple(terms)
+        n = len(self.terms[0].a) if self.terms else 0
+        if self.max_target() > n:
+            raise ValueError("drift target coordinate exceeds the dimension")
+        self._a = _frozen(np.stack([t.a for t in self.terms], axis=1) if self.terms
+                          else np.zeros((0, 0)))
+        self._b = _frozen([t.b for t in self.terms])
+        c = np.zeros((len(self.terms), n))
+        c[np.arange(len(self.terms)), [t.i - 1 for t in self.terms]] = [t.c for t in self.terms]
+        self._c = _frozen(c)
 
     @property
     def is_zero(self):
@@ -77,46 +89,20 @@ class DriftField:
         """Upper bound for sup_x ||DF(x)|| (spectral norm)."""
         return sum(abs(t.c) * float(np.linalg.norm(t.a)) for t in self.terms)
 
-    def _ridge(self, x):
-        # returns per-term tanh argument values, shape (..., n_terms)
-        x = np.asarray(x, dtype=float)
-        return [x @ t.a + t.b for t in self.terms]
-
     def value(self, x):
+        """F(x), vectorized over leading axes."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for t, z in zip(self.terms, self._ridge(x)):
-            out[..., t.i - 1] += t.c * np.tanh(z)
-        return out
+        if self.is_zero:
+            return np.zeros_like(x)
+        return np.tanh(x @ self._a + self._b) @ self._c
 
     def jacobian(self, x):
+        """DF(x)[i, j] = sum_t c[t, i] (1 - tanh^2) a[j, t], over leading axes."""
         x = np.asarray(x, dtype=float)
-        n = x.shape[-1]
-        out = np.zeros(x.shape[:-1] + (n, n))
-        for t, z in zip(self.terms, self._ridge(x)):
-            s = 1.0 - np.tanh(z) ** 2
-            out[..., t.i - 1, :] += (t.c * s)[..., None] * t.a
-        return out
-
-    def d2_apply(self, x, u, v):
-        """D^2 F(x)[u][v], vectorized over leading axes."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(np.broadcast(x, u, v).shape)
-        for t, z in zip(self.terms, self._ridge(x)):
-            th = np.tanh(z)
-            d2 = -2.0 * th * (1.0 - th**2)
-            out[..., t.i - 1] += t.c * d2 * (u @ t.a) * (v @ t.a)
-        return out
-
-    def d3_apply(self, x, u, v, w):
-        """D^3 F(x)[u][v][w], vectorized over leading axes."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(np.broadcast(x, u, v, w).shape)
-        for t, z in zip(self.terms, self._ridge(x)):
-            th = np.tanh(z)
-            d3 = -2.0 * (1.0 - th**2) * (1.0 - 3.0 * th**2)
-            out[..., t.i - 1] += t.c * d3 * (u @ t.a) * (v @ t.a) * (w @ t.a)
-        return out
+        if self.is_zero:
+            return np.zeros(x.shape + x.shape[-1:])
+        s = 1.0 - np.tanh(x @ self._a + self._b) ** 2
+        return (self._c.T * s[..., None, :]) @ self._a.T
 
     def __call__(self, x):
         return self.value(x)

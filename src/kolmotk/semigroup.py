@@ -3,7 +3,9 @@ derivatives, and the probabilistic elliptic/parabolic solvers.
 
 P_t f(x) is estimated either directly, as the mean of f over endpoints of
 the full path, or by Girsanov reweighting, as the mean of f over linear
-endpoints weighted with the exponential martingale density.  Derivatives
+endpoints weighted with the exponential martingale density; each reads
+its endpoints from the stepper that advances only those paths
+(``simulate_endpoints`` or ``girsanov_endpoints``).  Derivatives
 use common-random-number finite differences: every shifted start rides the
 same Brownian increments, so the difference quotient variance stays
 bounded as the step shrinks.  When F == 0 the endpoints are drawn from
@@ -23,7 +25,7 @@ from .errors import SingularGramian
 from .gramian import TMIN, gramian
 from .holder import ScalarField
 from .operators import OperatorSpec, matrix_exp
-from .simulate import brownian_increments, simulate_endpoints
+from .simulate import brownian_increments, girsanov_endpoints, simulate_endpoints
 
 __all__ = [
     "MCEstimate",
@@ -65,19 +67,24 @@ def _mean_stderr(values):
 
 
 def _endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=0, threads=1,
-               with_variation=False):
-    """``simulate_endpoints``, except that for F == 0 it draws the exact law
-    X_t = e^{tA} x + S xi with S S' = Q_t, and eta = e^{tA}: xi is the first n
-    normals of each path's own stream, shared by every start."""
+               method="direct", with_variation=False):
+    """``girsanov_endpoints`` for ``method="girsanov"``, ``simulate_endpoints``
+    otherwise, except that for F == 0 it draws the exact law
+    X_t = e^{tA} x + S xi with S S' = Q_t, log_phi = 0 and eta = e^{tA}: xi
+    is the first n normals of each path's own stream, shared by every start."""
     if not spec.F.is_zero:
+        if method == "girsanov":
+            return girsanov_endpoints(spec, x0s, t, steps, seed, n_paths,
+                                      path_offset=path_offset, threads=threads)
         return simulate_endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=path_offset,
                                   threads=threads, with_variation=with_variation)
     eA = matrix_exp(spec.A, t)
     xi = np.concatenate([brownian_increments(seed, pid, 1, spec.n, 1.0)
                          for pid in range(path_offset, path_offset + n_paths)])
     X = (np.atleast_2d(x0s) @ eA.T)[:, None, :] + xi @ gramian(spec, t).sqrt_factor().T
-    out = (X, X, np.zeros(X.shape[:2]))
-    return out + (np.broadcast_to(eA, X.shape + (spec.n,)),) if with_variation else out
+    if method == "girsanov":
+        return X, np.zeros(X.shape[:2])
+    return (X, np.broadcast_to(eA, X.shape + (spec.n,))) if with_variation else X
 
 
 def evaluate(
@@ -101,13 +108,14 @@ def evaluate(
     if method not in ("direct", "girsanov"):
         raise ValueError(f"unknown method {method!r}")
     steps = default_steps(t) if steps is None else steps
-    Z, X, logphi = _endpoints(
+    out = _endpoints(
         spec, np.asarray(x, dtype=float), t, steps, seed, budget,
-        path_offset=path_offset, threads=threads,
+        path_offset=path_offset, threads=threads, method=method,
     )
     if method == "direct":
-        values = f(X[0])
+        values = f(out[0])
     else:
+        Z, logphi = out
         values = f(Z[0]) * np.exp(logphi[0])
     mean, stderr = _mean_stderr(values)
     return MCEstimate(mean=mean, stderr=stderr, n_paths=budget, seed=int(seed), method=method)
@@ -163,7 +171,7 @@ def derivative_estimate(
             raise ValueError("pathwise estimator supports first derivatives only")
         if f.grad is None:
             raise ValueError("pathwise estimator needs a field gradient")
-        _, X, _, eta = _endpoints(
+        X, eta = _endpoints(
             spec, x, t, steps, seed, budget, threads=threads, with_variation=True
         )
         col = eta[0][:, :, multi_index[0] - 1]
@@ -188,7 +196,7 @@ def derivative_estimate(
         points = new
     starts = np.stack([x + sh for sh, _ in points])
     weights = np.array([w for _, w in points])
-    _, X, _ = _endpoints(spec, starts, t, steps, seed, budget, threads=threads)
+    X = _endpoints(spec, starts, t, steps, seed, budget, threads=threads)
     values = np.tensordot(weights, f(X), axes=(0, 0))
     mean, stderr = _mean_stderr(values)
     return MCEstimate(mean, stderr, budget, int(seed), "fd")

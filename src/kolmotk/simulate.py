@@ -2,11 +2,13 @@
 deterministic and variational flows, and Girsanov log-weights.
 
 Noise discipline: every path owns a Philox counter-based stream keyed by
-(seed, path_id), and the Brownian increments are drawn first.  Both the
-linear reference path Z and the full path X are driven by the same
-increments, so the F == 0 degeneracy X == Z is exact rather than
-statistical, and results are bit-identical no matter how paths are
-chunked across threads.
+(seed, path_id), and the Brownian increments are drawn first.  Two
+steppers read the same increments and advance only what their estimator
+reads: ``simulate_endpoints`` the full path X (and its first variation),
+``girsanov_endpoints`` the linear reference path Z and its Girsanov
+log-weight.  With F == 0 the two paths are the same arithmetic, so X == Z
+is exact rather than statistical, and results are bit-identical no matter
+how paths are chunked across threads.
 """
 
 from __future__ import annotations
@@ -25,16 +27,17 @@ __all__ = [
     "PathBundle",
     "FlowState",
     "path_rng",
-    "sample_ou_endpoint",
     "sample_ou_endpoints",
     "simulate_bundle",
     "simulate_endpoints",
+    "girsanov_endpoints",
     "deterministic_flow",
     "variation_flow_along_path",
     "write_path_csv",
 ]
 
 CHUNK = 4096  # fixed path chunk; independent of thread count by design
+BLOCK = 64  # steps whose noise (and Girsanov path points) are held at once
 _local = threading.local()  # one re-keyed generator per thread: chunks run in a pool
 
 
@@ -72,8 +75,6 @@ class PathBundle:
 class FlowState:
     Y: np.ndarray
     eta1: np.ndarray  # (n, n), columns are the first variations
-    eta2: np.ndarray | None = None  # (n, n, n), eta2[:, i, j]
-    eta3: np.ndarray | None = None  # (n, n, n, n), eta3[:, i, j, r]
 
 
 def path_rng(seed: int, path_id: int) -> np.random.Generator:
@@ -97,11 +98,6 @@ def brownian_increments(seed, path_id, steps, n, dt):
 
 
 # --- exact linear sampling --------------------------------------------------
-
-
-def sample_ou_endpoint(spec: OperatorSpec, x, t: float, rng: np.random.Generator):
-    """One draw of the linear diffusion at time t: e^{tA} x + Q_t^{1/2} xi."""
-    return sample_ou_endpoints(spec, x, t, 1, rng)[0]
 
 
 def sample_ou_endpoints(spec: OperatorSpec, x, t: float, size: int, rng: np.random.Generator):
@@ -159,43 +155,74 @@ def _taylor4_apply(J, dt, V):
     return out
 
 
-def _simulate_chunk(spec, x0s, t, steps, seed, ids, with_variation):
-    """Advance a chunk of paths for every start in x0s, sharing noise.
+def _noise_blocks(eAS, dt, steps, seed, ids):
+    """Per block of at most BLOCK steps of this chunk of paths: the
+    increments dW and the noise eAS dW they add to a step, both laid out
+    (step, path, n).  The noise of every block is written into one buffer,
+    so a block is valid only until the next one is drawn."""
+    dW = np.empty((steps, len(ids), len(eAS)))
+    for j, pid in enumerate(ids):
+        dW[:, j] = brownian_increments(seed, pid, steps, len(eAS), dt)
+    noise = np.empty((min(BLOCK, steps),) + dW.shape[1:])
+    for k in range(0, steps, BLOCK):
+        dw = dW[k:k + BLOCK]
+        yield dw, np.matmul(dw, eAS.T, out=noise[:len(dw)])
 
-    Returns endpoint arrays (m, c, n), (m, c, n), (m, c) and optionally
-    the first-variation matrices (m, c, n, n).
-    """
-    n = spec.n
-    m = x0s.shape[0]
-    c = len(ids)
+
+def _x_chunk(spec, x0s, t, steps, seed, ids, with_variation):
+    """X (m, c, n) at t for every start in x0s and, if asked, eta (m, c, n, n)."""
     dt = t / steps
     eAdt, eAS = _step_matrices(spec, dt)
-    dW = np.empty((c, steps, n))
-    for j, pid in enumerate(ids):
-        dW[j] = brownian_increments(seed, pid, steps, n, dt)
-    Z = np.broadcast_to(x0s[:, None, :], (m, c, n)).copy()
-    X = Z.copy()
-    logphi = np.zeros((m, c))
-    eta = None
-    if with_variation:
-        eta = np.broadcast_to(np.eye(n), (m, c, n, n)).copy()
-    zero_drift = spec.F.is_zero
-    for k in range(steps):
-        dw = dW[:, k, :]
-        if with_variation:
-            J = spec.A if zero_drift else spec.A + spec.F.jacobian(X)
-            eta = _taylor4_apply(J, dt, eta)
-        if not zero_drift:
-            G = spec.girsanov_field(Z)
-            logphi += np.einsum("mcn,cn->mc", G, dw) - 0.5 * dt * np.einsum(
-                "mcn,mcn->mc", G, G
-            )
-            drift = spec.F.value(X) * dt
-            X = np.einsum("ab,mcb->mca", eAdt, X + drift) + dw @ eAS.T
-        else:
-            X = np.einsum("ab,mcb->mca", eAdt, X) + dw @ eAS.T
-        Z = np.einsum("ab,mcb->mca", eAdt, Z) + dw @ eAS.T
-    return Z, X, logphi, eta
+    F = spec.F
+    X = np.broadcast_to(x0s[:, None, :], (len(x0s), len(ids), spec.n)).copy()
+    eta = np.broadcast_to(np.eye(spec.n), X.shape + (spec.n,)).copy() if with_variation else None
+    for _, noise in _noise_blocks(eAS, dt, steps, seed, ids):
+        for dx in noise:
+            if with_variation:
+                eta = _taylor4_apply(spec.A + F.jacobian(X), dt, eta)
+            if not F.is_zero:
+                X = X + F.value(X) * dt
+            X = X @ eAdt.T + dx
+    return (X, eta) if with_variation else (X,)
+
+
+def _z_chunk(spec, x0s, t, steps, seed, ids):
+    """Z (m, c, n) at t and log_phi (m, c): the left-point sum of
+    <G(Z), dW> - |G(Z)|^2 dt / 2, taken over each block of steps at once."""
+    dt = t / steps
+    eAdt, eAS = _step_matrices(spec, dt)
+    Z = np.broadcast_to(x0s[:, None, :], (len(x0s), len(ids), spec.n)).copy()
+    logphi = np.zeros(Z.shape[:2])
+    for dw, noise in _noise_blocks(eAS, dt, steps, seed, ids):
+        Zs = np.empty((len(noise),) + Z.shape)
+        for k, dz in enumerate(noise):
+            Zs[k] = Z
+            Z = Z @ eAdt.T + dz
+        G = spec.girsanov_field(Zs)
+        logphi += np.einsum("bmcn,bcn->mc", G, dw) - 0.5 * dt * np.einsum("bmcn,bmcn->mc", G, G)
+    return Z, logphi
+
+
+def _run_chunks(kernel, spec, x0s, t, steps, seed, n_paths, path_offset, threads, *args):
+    """``kernel`` over the fixed chunks of paths, each output joined along
+    the path axis; chunking does not depend on ``threads``."""
+    if steps < 1:
+        raise ValueError("steps >= 1")
+    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
+    chunks = [
+        range(path_offset + a, path_offset + min(a + CHUNK, n_paths))
+        for a in range(0, n_paths, CHUNK)
+    ]
+
+    def run(ids):
+        return kernel(spec, x0s, t, steps, seed, ids, *args)
+
+    if threads > 1 and len(chunks) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, chunks))
+    else:
+        results = [run(ids) for ids in chunks]
+    return tuple(np.concatenate(r, axis=1) for r in zip(*results))
 
 
 def simulate_endpoints(
@@ -209,103 +236,64 @@ def simulate_endpoints(
     threads: int = 1,
     with_variation: bool = False,
 ):
-    """Endpoint batch for several starts sharing per-path noise.
+    """Endpoints X of the full path for several starts sharing per-path noise.
 
-    ``x0s`` has shape (m, n); returns Z_end, X_end of shape (m, n_paths, n),
-    log_phi of shape (m, n_paths) and, if requested, eta of shape
+    ``x0s`` has shape (m, n); returns X_end of shape (m, n_paths, n) or,
+    with ``with_variation``, (X_end, eta) with eta of shape
     (m, n_paths, n, n).  Chunking is fixed, so the result does not depend
     on ``threads``.
     """
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    chunks = [
-        range(path_offset + a, path_offset + min(a + CHUNK, n_paths))
-        for a in range(0, n_paths, CHUNK)
-    ]
+    out = _run_chunks(_x_chunk, spec, x0s, t, steps, seed, n_paths, path_offset, threads,
+                      with_variation)
+    return out if with_variation else out[0]
 
-    def run(ids):
-        return _simulate_chunk(spec, x0s, t, steps, seed, list(ids), with_variation)
 
-    if threads > 1 and len(chunks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(ids) for ids in chunks]
-    Z = np.concatenate([r[0] for r in results], axis=1)
-    X = np.concatenate([r[1] for r in results], axis=1)
-    logphi = np.concatenate([r[2] for r in results], axis=1)
-    if with_variation:
-        eta = np.concatenate([r[3] for r in results], axis=1)
-        return Z, X, logphi, eta
-    return Z, X, logphi
+def girsanov_endpoints(
+    spec: OperatorSpec,
+    x0s,
+    t: float,
+    steps: int,
+    seed: int,
+    n_paths: int,
+    path_offset: int = 0,
+    threads: int = 1,
+):
+    """Endpoints Z of the linear path and Girsanov log-weights, on the same
+    increments as ``simulate_endpoints``.
+
+    Returns Z_end of shape (m, n_paths, n) and log_phi of shape
+    (m, n_paths); E[f(Z_t) e^{log_phi}] is P_t f.
+    """
+    return _run_chunks(_z_chunk, spec, x0s, t, steps, seed, n_paths, path_offset, threads)
 
 
 # --- deterministic and variational flows ------------------------------------
 
 
-def _flow_rhs(spec: OperatorSpec, state, order):
-    Y, M, T2, T3 = state
-    A = spec.A
-    dY = A @ Y + spec.F.value(Y)
-    J = A + spec.F.jacobian(Y)
-    dM = J @ M
-    dT2 = dT3 = None
-    if order >= 2:
-        # columns u_i = M[:, i]; D2F(Y)[u_i][u_j] for all pairs
-        dT2 = np.einsum("ab,bij->aij", J, T2)
-        u = M.T  # (n, n) rows are eta_i
-        d2 = spec.F.d2_apply(Y, u[:, None, :], u[None, :, :])  # (n, n, n)
-        dT2 = dT2 + np.moveaxis(d2, -1, 0)
-    if order >= 3:
-        dT3 = np.einsum("ab,bijr->aijr", J, T3)
-        u = M.T
-        d3 = spec.F.d3_apply(
-            Y, u[:, None, None, :], u[None, :, None, :], u[None, None, :, :]
-        )  # (n, n, n, n) indexed (i, j, r, comp)
-        dT3 = dT3 + np.moveaxis(d3, -1, 0)
-        # cross terms D2F[eta_{ij}][eta_r] in the three pairings
-        eta2 = np.moveaxis(T2, 0, -1)  # (i, j, comp)
-        cross = spec.F.d2_apply(
-            Y, eta2[:, :, None, :], u[None, None, :, :]
-        )  # (i, j, r, comp) from [eta_ij][eta_r]
-        cross_ir = spec.F.d2_apply(Y, eta2[:, None, :, :], u[None, :, None, :])
-        cross_jr = spec.F.d2_apply(Y, u[:, None, None, :], eta2[None, :, :, :])
-        dT3 = dT3 + np.moveaxis(cross + cross_ir + cross_jr, -1, 0)
-    return dY, dM, dT2, dT3
-
-
-def deterministic_flow(spec: OperatorSpec, x, t: float, steps: int, order: int = 1) -> FlowState:
-    """Classical RK4 integration of the drift flow and its variations.
-
-    ``order`` selects how many variation levels to carry (1, 2 or 3).
-    """
+def deterministic_flow(spec: OperatorSpec, x, t: float, steps: int) -> FlowState:
+    """Classical RK4 integration of the drift flow and its first variation."""
     if steps < 1:
         raise ValueError("steps >= 1")
-    n = spec.n
-    Y = np.asarray(x, dtype=float).copy()
-    M = np.eye(n)
-    T2 = np.zeros((n, n, n)) if order >= 2 else None
-    T3 = np.zeros((n, n, n, n)) if order >= 3 else None
     h = t / steps
-    state = (Y, M, T2, T3)
+    state = (np.asarray(x, dtype=float).copy(), np.eye(spec.n))
+
+    def rhs(s):
+        Y, M = s
+        return spec.drift(Y), (spec.A + spec.F.jacobian(Y)) @ M
 
     def add(s, k, fac):
-        return tuple(
-            None if a is None else a + fac * b for a, b in zip(s, k)
-        )
+        return tuple(a + fac * b for a, b in zip(s, k))
 
     for _ in range(steps):
-        k1 = _flow_rhs(spec, state, order)
-        k2 = _flow_rhs(spec, add(state, k1, h / 2), order)
-        k3 = _flow_rhs(spec, add(state, k2, h / 2), order)
-        k4 = _flow_rhs(spec, add(state, k3, h), order)
+        k1 = rhs(state)
+        k2 = rhs(add(state, k1, h / 2))
+        k3 = rhs(add(state, k2, h / 2))
+        k4 = rhs(add(state, k3, h))
         state = tuple(
-            None
-            if a is None
-            else a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
+            a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)
         )
-    Y, M, T2, T3 = state
-    return FlowState(Y=Y, eta1=M, eta2=T2, eta3=T3)
+    return FlowState(*state)
 
 
 def variation_flow_along_path(spec: OperatorSpec, bundle: PathBundle) -> np.ndarray:
@@ -315,16 +303,9 @@ def variation_flow_along_path(spec: OperatorSpec, bundle: PathBundle) -> np.ndar
     which keeps the Gronwall bound exp((||A|| + ||DF||_0) t) valid for the
     discrete product.
     """
-    dt = bundle.grid.dt
     eta = np.eye(spec.n)
     for k in range(bundle.grid.steps):
-        J = spec.A + spec.F.jacobian(bundle.X[k])
-        step = np.eye(spec.n)
-        term = np.eye(spec.n)
-        for j in range(1, 5):
-            term = (dt / j) * (J @ term)
-            step = step + term
-        eta = step @ eta
+        eta = _taylor4_apply(spec.A + spec.F.jacobian(bundle.X[k]), bundle.grid.dt, eta)
     return eta
 
 

@@ -184,7 +184,7 @@ def check_flow_moments(
     block_pts = [[] for _ in range(dec.k + 1)]
     for t in t_grid:
         steps = default_steps(t)
-        _, X, _ = simulate_endpoints(spec, x, float(t), steps, seed, n_paths, threads=threads)
+        X = simulate_endpoints(spec, x, float(t), steps, seed, n_paths, threads=threads)
         Y = deterministic_flow(spec, x, float(t), steps).Y
         diff = X[0] - Y
         full_pts.append((t, float(np.mean(dec.quasi_norm(diff) ** q))))

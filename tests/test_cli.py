@@ -73,6 +73,25 @@ def test_bad_seed_and_budget_exit_code(tmp_path, capsys, command, extra, flags):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("evaluate", {"operator": OP_NL, "steps": 0}),
+    ("evaluate", {"operator": OP_NL, "steps": 0, "dump_paths": 2}),
+    ("evaluate", {"t": float("nan")}),
+    ("evaluate", {"t": -1}),
+    ("gramian", {"t_grid": [0.1, -0.2]}),
+    ("evaluate", {"t": True}),
+    ("evaluate", {"x": [0.1, 0.2, 0.3]}),
+    ("solve", {"lambda": -1}),
+], ids=["steps-0", "steps-0-dump-paths", "t-nan", "t-negative", "t-grid-negative", "t-bool",
+        "x-wrong-length", "lambda-negative"])
+def test_bad_config_value_exit_code(tmp_path, capsys, command, extra):
+    doc = {"operator": OP_2D, "t": 0.5, "field": {"type": "const", "value": 1.0}, **extra}
+    cfg = write_cfg(tmp_path, doc)
+    assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys):
     doc = {"operator": OP_2D, "t": 1e-6, "budget": 100,
            "field": {"type": "const", "value": 1.0}}
@@ -144,6 +163,18 @@ def test_solve_elliptic_constant(tmp_path):
     row = (tmp_path / "solve.csv").read_text().splitlines()[1].split(",")
     assert row[0] == "elliptic"
     assert abs(float(row[2]) - 1.0) < 1e-3
+
+
+def test_solve_budget_flag_overrides_paths_per_node(tmp_path):
+    doc = {"operator": OP_2D, "lambda": 1.0, "seed": 2, "paths_per_node": 4,
+           "field": {"type": "const", "value": 1.0}}
+    cfg = write_cfg(tmp_path, doc)
+    n_paths = {}
+    for flags in ([], ["--budget", "8"]):
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path), *flags]) == 0
+        row = (tmp_path / "solve.csv").read_text().splitlines()[1].split(",")
+        n_paths[len(flags)] = int(row[4])
+    assert n_paths[2] == 2 * n_paths[0]
 
 
 def test_solve_parabolic_trivial(tmp_path):

@@ -1,8 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from kolmotk import semigroup
 from kolmotk import (
     DriftField,
     DriftTerm,
@@ -182,6 +184,22 @@ def test_parabolic_matches_cosine_oracle_without_source():
 def test_oracles_require_zero_drift():
     with pytest.raises(ValueError):
         ou_cosine_expectation(SPEC_NL, COS.waves[0], 0.5, X0)
+
+
+def test_each_method_steps_only_its_own_paths(monkeypatch):
+    """direct reads X from simulate_endpoints only, girsanov reads Z and
+    log_phi from girsanov_endpoints only."""
+    calls = collections.Counter()
+    for name in ("simulate_endpoints", "girsanov_endpoints"):
+        def counted(*args, _name=name, _fn=getattr(semigroup, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(semigroup, name, counted)
+    evaluate(SPEC_NL, COS, 0.2, X0, 50, 3, method="direct")
+    assert calls == {"simulate_endpoints": 1}
+    calls.clear()
+    evaluate(SPEC_NL, COS, 0.2, X0, 50, 3, method="girsanov")
+    assert calls == {"girsanov_endpoints": 1}
 
 
 def test_zero_drift_ignores_steps_and_threads():

@@ -12,6 +12,7 @@ from kolmotk import (
     OperatorSpec,
     PathGrid,
     deterministic_flow,
+    girsanov_endpoints,
     gramian,
     matrix_exp,
     sample_ou_endpoints,
@@ -49,7 +50,8 @@ def test_exact_sampler_matches_gramian_moments():
 
 
 def test_zero_drift_paths_coincide_and_weight_is_one():
-    Z, X, logphi = simulate_endpoints(SPEC_OU, np.zeros(2), 0.4, 64, 3, 500)
+    X = simulate_endpoints(SPEC_OU, np.zeros(2), 0.4, 64, 3, 500)
+    Z, logphi = girsanov_endpoints(SPEC_OU, np.zeros(2), 0.4, 64, 3, 500)
     assert np.array_equal(Z, X)
     assert np.all(logphi == 0.0)
 
@@ -58,24 +60,43 @@ def test_thread_count_does_not_change_results():
     args = (SPEC_NL, np.zeros(2), 0.3, 32, 5, 9000)
     a = simulate_endpoints(*args, threads=1)
     b = simulate_endpoints(*args, threads=8)
-    for u, v in zip(a, b):
-        assert np.array_equal(u, v)
+    assert np.array_equal(a, b)
 
 
 def test_path_offset_gives_disjoint_streams():
     a = simulate_endpoints(SPEC_OU, np.zeros(2), 0.3, 32, 5, 100)
     b = simulate_endpoints(SPEC_OU, np.zeros(2), 0.3, 32, 5, 100, path_offset=100)
-    assert not np.allclose(a[0], b[0])
+    assert not np.allclose(a, b)
     # offsetting by 0..99 then 100..199 equals one run of 200
     c = simulate_endpoints(SPEC_OU, np.zeros(2), 0.3, 32, 5, 200)
-    assert np.array_equal(np.concatenate([a[0], b[0]], axis=1), c[0])
+    assert np.array_equal(np.concatenate([a, b], axis=1), c)
+
+
+@pytest.mark.parametrize("stepper", [simulate_endpoints, girsanov_endpoints])
+def test_drifted_steppers_independent_of_threads_and_offsets(stepper):
+    """Each output of either stepper is the same at threads=1 and threads=8,
+    and paths 0..99 then 100..199 equal one run of 200."""
+    def outputs(*args, **kwargs):
+        out = stepper(SPEC_NL, np.array([[0.1, -0.2], [0.0, 0.3]]), 0.3, 32, 5, *args, **kwargs)
+        return out if isinstance(out, tuple) else (out,)
+
+    for u, v in zip(outputs(9000, threads=1), outputs(9000, threads=8)):
+        assert np.array_equal(u, v)
+    for u, v, w in zip(outputs(100), outputs(100, path_offset=100), outputs(200)):
+        assert np.array_equal(np.concatenate([u, v], axis=1), w)
+
+
+@pytest.mark.parametrize("stepper", [simulate_endpoints, girsanov_endpoints])
+def test_steppers_reject_steps_below_one(stepper):
+    with pytest.raises(ValueError, match="steps"):
+        stepper(SPEC_NL, np.zeros(2), 0.3, 0, 5, 10)
 
 
 def test_exponential_euler_endpoint_distribution():
     """With F == 0 the integrator samples the exact OU law at every step
     count, because the linear flow and the increment covariance are exact."""
     t = 0.5
-    _, X, _ = simulate_endpoints(SPEC_OU, np.zeros(2), t, 8, 9, 200000)
+    X = simulate_endpoints(SPEC_OU, np.zeros(2), t, 8, 9, 200000)
     cov = np.cov(X[0].T)
     # each step adds e^{dtA} Q^{1/2} dW, so the discrete covariance is the
     # left-endpoint Riemann sum of the Gramian integrand
@@ -88,7 +109,7 @@ def test_exponential_euler_endpoint_distribution():
 
 
 def test_girsanov_weight_has_unit_mean():
-    _, _, logphi = simulate_endpoints(SPEC_NL, np.zeros(2), 0.5, 128, 17, 40000)
+    _, logphi = girsanov_endpoints(SPEC_NL, np.zeros(2), 0.5, 128, 17, 40000)
     w = np.exp(logphi[0])
     assert abs(w.mean() - 1.0) < 4.0 * w.std() / math.sqrt(w.size)
 
@@ -96,7 +117,8 @@ def test_girsanov_weight_has_unit_mean():
 def test_bundle_consistent_with_endpoints():
     grid = PathGrid(0.3, 32)
     b = simulate_bundle(SPEC_NL, np.zeros(2), grid, 5, path_id=2)
-    Z, X, logphi = simulate_endpoints(SPEC_NL, np.zeros(2), 0.3, 32, 5, 1, path_offset=2)
+    X = simulate_endpoints(SPEC_NL, np.zeros(2), 0.3, 32, 5, 1, path_offset=2)
+    Z, logphi = girsanov_endpoints(SPEC_NL, np.zeros(2), 0.3, 32, 5, 1, path_offset=2)
     assert np.allclose(b.Z[-1], Z[0, 0], atol=1e-12)
     assert np.allclose(b.X[-1], X[0, 0], atol=1e-12)
     assert np.isclose(b.log_phi[-1], logphi[0, 0], atol=1e-12)
@@ -113,25 +135,21 @@ def test_deterministic_flow_zero_drift_is_matrix_exp():
 def test_variation_flows_match_finite_differences():
     x = np.array([0.3, -0.2])
     t, steps, eps = 0.5, 400, 1e-5
-    fl = deterministic_flow(SPEC_NL, x, t, steps, order=3)
+    fl = deterministic_flow(SPEC_NL, x, t, steps)
 
-    def flow(y, order=1):
-        return deterministic_flow(SPEC_NL, y, t, steps, order=order)
+    def flow(y):
+        return deterministic_flow(SPEC_NL, y, t, steps)
 
     for j, e in enumerate(np.eye(2)):
         fd = (flow(x + eps * e).Y - flow(x - eps * e).Y) / (2 * eps)
         assert np.allclose(fl.eta1[:, j], fd, atol=1e-7)
-        fd2 = (flow(x + eps * e).eta1 - flow(x - eps * e).eta1) / (2 * eps)
-        assert np.allclose(fl.eta2[:, :, j], fd2, atol=1e-6)
-        fd3 = (flow(x + eps * e, 2).eta2 - flow(x - eps * e, 2).eta2) / (2 * eps)
-        assert np.allclose(fl.eta3[:, :, :, j], fd3, atol=1e-5)
 
 
 def test_variation_gronwall_bound():
     """sup_x |eta1| <= exp((|A| + sup|DF|) t) for the stochastic flow."""
     t, steps = 0.5, 128
     bound = math.exp((np.linalg.norm(SPEC_NL.A, 2) + SPEC_NL.F.grad_bound) * t)
-    _, _, _, eta = simulate_endpoints(
+    _, eta = simulate_endpoints(
         SPEC_NL, np.zeros(2), t, steps, 21, 2000, with_variation=True
     )
     norms = np.linalg.norm(eta[0], ord=2, axis=(1, 2))
@@ -142,7 +160,7 @@ def test_variation_along_path_matches_endpoint_variation():
     grid = PathGrid(0.4, 64)
     b = simulate_bundle(SPEC_NL, np.array([0.1, 0.2]), grid, 13, path_id=0)
     eta_b = variation_flow_along_path(SPEC_NL, b)
-    _, _, _, eta = simulate_endpoints(
+    _, eta = simulate_endpoints(
         SPEC_NL, np.array([0.1, 0.2]), 0.4, 64, 13, 1, with_variation=True
     )
     assert np.allclose(eta_b, eta[0, 0], atol=1e-12)
@@ -155,7 +173,7 @@ def test_exponential_update_propagates_mean_exactly():
                          A=[[0.0, 0.0], [1.0, 1.0]], F=DriftField())
     t, steps = 1.0, 8
     x = np.array([1.0, 0.5])
-    _, Xe, _ = simulate_endpoints(quiet, x, t, steps, 31, 4)
+    Xe = simulate_endpoints(quiet, x, t, steps, 31, 4)
     exact = matrix_exp(quiet.A, t) @ x
     assert np.allclose(Xe[0], exact, atol=1e-6)
 
