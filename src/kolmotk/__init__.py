@@ -7,6 +7,8 @@ reweighting, probabilistic elliptic/parabolic solvers, and a quantitative
 verification harness for the scaling laws the theory predicts.
 """
 
+import types as _types
+
 from .errors import (
     ConfigError,
     DegenerateBox,
@@ -76,63 +78,6 @@ from .config import RunConfig, field_from_config, load_config, parse_config
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "DegenerateBox",
-    "KolmotkError",
-    "NonPositiveValue",
-    "NotHypoelliptic",
-    "OutOfDomain",
-    "SingularGramian",
-    "TMIN",
-    "Gramian",
-    "block_exp_norm",
-    "gramian",
-    "gramian_quadrature",
-    "whitened_direction_norm",
-    "SCALE_MIN",
-    "ScalarField",
-    "SeminormEstimate",
-    "holder_norm",
-    "holder_seminorm",
-    "third_difference",
-    "Block",
-    "KalmanDecomposition",
-    "decompose",
-    "kalman_index",
-    "DriftField",
-    "DriftTerm",
-    "OperatorSpec",
-    "matrix_exp",
-    "MCEstimate",
-    "QuadratureScheme",
-    "cosine_propagator",
-    "default_steps",
-    "derivative_estimate",
-    "elliptic_cosine_oracle_field",
-    "evaluate",
-    "ou_cosine_expectation",
-    "solve_elliptic",
-    "solve_parabolic",
-    "PathBundle",
-    "PathGrid",
-    "deterministic_flow",
-    "girsanov_endpoints",
-    "sample_ou_endpoints",
-    "simulate_bundle",
-    "simulate_endpoints",
-    "variation_flow_along_path",
-    "write_path_csv",
-    "CheckReport",
-    "ExponentFit",
-    "check_exponential_blocks",
-    "check_flow_moments",
-    "check_gramian_scaling",
-    "check_parabolic_schauder_ratio",
-    "check_schauder_ratio",
-    "fit_exponent",
-    "RunConfig",
-    "field_from_config",
-    "load_config",
-    "parse_config",
-]
+# every name imported above, and nothing else
+__all__ = [k for k, v in globals().items()
+           if not k.startswith("_") and not isinstance(v, _types.ModuleType)]

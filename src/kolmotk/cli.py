@@ -199,7 +199,8 @@ def _parser():
     p.add_argument("command", choices=sorted(_COMMANDS))
     p.add_argument("--config", required=True, help="JSON config path")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker thread cap (overrides config threads, default 1)")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--budget", type=int, default=None, help="override sample budget")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -210,6 +211,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.threads is None:
+            args.threads = cfg.param("threads", 1)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         if args.seed is not None and not 0 <= args.seed < 2**64:
@@ -217,7 +220,8 @@ def main(argv=None) -> int:
         if args.budget is not None and args.budget < 2:
             raise ConfigError("--budget must be >= 2")
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, NotHypoelliptic) as exc:
+    except (ConfigError, NotHypoelliptic, ValueError) as exc:
+        # a ValueError is a library precondition that the config did not meet
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KolmotkError as exc:

@@ -35,8 +35,6 @@ _PARAM_KEYS = {
     "n_paths",
     "steps",
     "lambda",
-    "theta",
-    "gamma",
     "q",
     "method",
     "field",
@@ -161,7 +159,7 @@ def parse_config(doc) -> RunConfig:
     _reject_unknown(doc, _TOP_KEYS, "config")
     operator = operator_from_config(_require(doc, "operator", "config"))
     params = {k: v for k, v in doc.items() if k != "operator"}
-    lowest = {"seed": 0, "threads": 0, "budget": 2, "n_paths": 0, "steps": 1,
+    lowest = {"seed": 0, "threads": 1, "budget": 2, "n_paths": 0, "steps": 1,
               "paths_per_node": 2, "dump_paths": 0}
     for key, low in lowest.items():
         v = params.get(key, low)
@@ -169,7 +167,7 @@ def parse_config(doc) -> RunConfig:
             raise ConfigError(f"'{key}' must be an integer >= {low}")
     if params.get("seed", 0) >= 2**64:
         raise ConfigError("'seed' must be below 2**64")
-    for key in ("t", "lambda", "theta", "gamma", "q", "tol"):
+    for key in ("t", "lambda", "q", "tol"):
         if key in params and not _is_number(params[key]):
             raise ConfigError(f"'{key}' must be a finite number")
     for key in ("t_grid", "s_grid", "x"):
@@ -178,7 +176,7 @@ def parse_config(doc) -> RunConfig:
             if not (isinstance(v, (list, tuple)) and v and all(map(_is_number, v))):
                 raise ConfigError(f"'{key}' must be a non-empty flat array of finite numbers")
             params[key] = [float(e) for e in v]
-    for key in ("t", "lambda"):
+    for key in ("t", "lambda", "tol"):
         if params.get(key, 1) <= 0:
             raise ConfigError(f"'{key}' must be positive")
     if min(params.get("t_grid", [1])) <= 0:

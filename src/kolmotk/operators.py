@@ -9,7 +9,8 @@ where Q embeds the positive definite block Q0 in the first ``p_tilde``
 coordinates and F pushes only into those coordinates.  The nonlinear drift
 is restricted to sums of tanh ridge functions, which keeps all derivatives
 bounded by construction.  ``DriftField`` stacks its terms into three arrays
-once, so F and DF are each one matrix product over any batch of points.
+once, so F, DF and the tangent rows DF v are each one matrix product
+over any batch of points.
 """
 
 from __future__ import annotations
@@ -89,12 +90,25 @@ class DriftField:
         """Upper bound for sup_x ||DF(x)|| (spectral norm)."""
         return sum(abs(t.c) * float(np.linalg.norm(t.a)) for t in self.terms)
 
-    def value(self, x):
-        """F(x), vectorized over leading axes."""
+    def value(self, x, proj=None):
+        """F(x), vectorized over leading axes.  With a matrix ``proj`` (n, k),
+        F(x) proj, folded into the amplitudes so that only k columns are formed."""
         x = np.asarray(x, dtype=float)
         if self.is_zero:
-            return np.zeros_like(x)
-        return np.tanh(x @ self._a + self._b) @ self._c
+            return np.zeros_like(x) if proj is None else np.zeros(x.shape[:-1] + proj.shape[1:])
+        return np.tanh(x @ self._a + self._b) @ (self._c if proj is None else self._c @ proj)
+
+    def tangent(self, x, V):
+        """F(x) at points x (N, n) and, for tangent rows V (N k, n) holding k
+        consecutive rows per point, the rows DF(x) v (None for V None); both
+        come from one tanh and DF v = c'(sech^2 * a'v), so no n x n Jacobian
+        is formed."""
+        th = np.tanh(x @ self._a + self._b)
+        if V is None:
+            return th @ self._c, None
+        s = 1.0 - th * th
+        aV = (V @ self._a).reshape(len(x), -1, len(self._b)) * s[:, None, :]
+        return th @ self._c, aV.reshape(len(V), -1) @ self._c
 
     def jacobian(self, x):
         """DF(x)[i, j] = sum_t c[t, i] (1 - tanh^2) a[j, t], over leading axes."""
@@ -195,13 +209,16 @@ class OperatorSpec:
             out = out + self.F.value(x)
         return out
 
+    def girsanov_noise(self, x):
+        """The first p_tilde coordinates of G(x), the only ones F reaches."""
+        proj = self._cached("G_proj", lambda: np.eye(self.n, self.p_tilde) @ self.Q0_inv_sqrt.T)
+        return self.F.value(x, proj)
+
     def girsanov_field(self, x):
         """G(x) = Q^{-1/2} F(x): the drift expressed in noise units."""
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        if not self.F.is_zero:
-            fx = self.F.value(x)[..., : self.p_tilde]
-            out[..., : self.p_tilde] = fx @ self.Q0_inv_sqrt.T
+        out[..., : self.p_tilde] = self.girsanov_noise(x)
         return out
 
     def decomposition(self, tol=1e-10):

@@ -153,7 +153,10 @@ def derivative_estimate(
 
     ``fd``: central differences with shared noise across the shifted
     starts.  ``pathwise``: first order only, E[<grad f(X_t), eta_i>] using
-    the variation flow (requires ``f.grad``).  For F == 0 the endpoints are
+    the variation flow (requires ``f.grad``), which is the exact derivative
+    of the exponential-Euler step e^{dtA}(I + dt DF(X)); its norm stays
+    below exp((||A|| + ||DF||) t), because each factor is at most
+    e^{dt(||A|| + ||DF||)}.  For F == 0 the endpoints are
     drawn exactly, one Gaussian per path shared by every start, the
     variation flow is e^{tA}, and ``steps`` is ignored.
     """

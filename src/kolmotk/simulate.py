@@ -4,11 +4,12 @@ deterministic and variational flows, and Girsanov log-weights.
 Noise discipline: every path owns a Philox counter-based stream keyed by
 (seed, path_id), and the Brownian increments are drawn first.  Two
 steppers read the same increments and advance only what their estimator
-reads: ``simulate_endpoints`` the full path X (and its first variation),
-``girsanov_endpoints`` the linear reference path Z and its Girsanov
-log-weight.  With F == 0 the two paths are the same arithmetic, so X == Z
-is exact rather than statistical, and results are bit-identical no matter
-how paths are chunked across threads.
+reads: ``simulate_endpoints`` the full path X (and its first variation
+eta, the exact derivative of the exponential-Euler step, so that eta is
+the derivative of the X it returns), ``girsanov_endpoints`` the linear
+reference path Z and its Girsanov log-weight.  With F == 0 the two paths
+are the same arithmetic, so X == Z is exact rather than statistical, and
+results are bit-identical no matter how paths are chunked across threads.
 """
 
 from __future__ import annotations
@@ -141,20 +142,6 @@ def simulate_bundle(spec: OperatorSpec, x, grid: PathGrid, seed: int, path_id: i
     )
 
 
-def _taylor4_apply(J, dt, V):
-    """(I + dtJ + ... + (dtJ)^4/24) V, broadcasting over leading axes.
-
-    Truncated exponential: its norm never exceeds e^{dt ||J||}, so the
-    Gronwall bound on variation flows survives discretization.
-    """
-    out = V.copy()
-    term = V
-    for j in range(1, 5):
-        term = (dt / j) * np.matmul(J, term)
-        out = out + term
-    return out
-
-
 def _noise_blocks(eAS, dt, steps, seed, ids):
     """Per block of at most BLOCK steps of this chunk of paths: the
     increments dW and the noise eAS dW they add to a step, both laid out
@@ -170,25 +157,33 @@ def _noise_blocks(eAS, dt, steps, seed, ids):
 
 
 def _x_chunk(spec, x0s, t, steps, seed, ids, with_variation):
-    """X (m, c, n) at t for every start in x0s and, if asked, eta (m, c, n, n)."""
+    """X (m, c, n) at t for every start in x0s and, if asked, eta (m, c, n, n),
+    the exact derivative of the step X' = e^{dtA}(X + dt F(X)) + noise:
+    eta' = e^{dtA}(I + dt DF(X)) eta.  X is held as (m c, n) and the
+    tangent rows V = eta^T as (m c n, n), so every product is one matmul."""
     dt = t / steps
     eAdt, eAS = _step_matrices(spec, dt)
-    F = spec.F
-    X = np.broadcast_to(x0s[:, None, :], (len(x0s), len(ids), spec.n)).copy()
-    eta = np.broadcast_to(np.eye(spec.n), X.shape + (spec.n,)).copy() if with_variation else None
+    F, m, c, n = spec.F, len(x0s), len(ids), spec.n
+    X = np.repeat(x0s, c, axis=0)
+    V = np.tile(np.eye(n), (m * c, 1)) if with_variation else None
     for _, noise in _noise_blocks(eAS, dt, steps, seed, ids):
         for dx in noise:
-            if with_variation:
-                eta = _taylor4_apply(spec.A + F.jacobian(X), dt, eta)
             if not F.is_zero:
-                X = X + F.value(X) * dt
-            X = X @ eAdt.T + dx
-    return (X, eta) if with_variation else (X,)
+                FX, DFV = F.tangent(X, V)
+                X = X + FX * dt
+                if with_variation:
+                    V = V + DFV * dt
+            X = ((X @ eAdt.T).reshape(m, c, n) + dx).reshape(m * c, n)
+            if with_variation:
+                V = V @ eAdt.T
+    X = X.reshape(m, c, n)
+    return (X, V.reshape(m, c, n, n).swapaxes(2, 3)) if with_variation else (X,)
 
 
 def _z_chunk(spec, x0s, t, steps, seed, ids):
     """Z (m, c, n) at t and log_phi (m, c): the left-point sum of
-    <G(Z), dW> - |G(Z)|^2 dt / 2, taken over each block of steps at once."""
+    <G(Z), dW> - |G(Z)|^2 dt / 2, taken over each block of steps at once
+    and over the first p_tilde coordinates, the only ones G can reach."""
     dt = t / steps
     eAdt, eAS = _step_matrices(spec, dt)
     Z = np.broadcast_to(x0s[:, None, :], (len(x0s), len(ids), spec.n)).copy()
@@ -198,8 +193,9 @@ def _z_chunk(spec, x0s, t, steps, seed, ids):
         for k, dz in enumerate(noise):
             Zs[k] = Z
             Z = Z @ eAdt.T + dz
-        G = spec.girsanov_field(Zs)
-        logphi += np.einsum("bmcn,bcn->mc", G, dw) - 0.5 * dt * np.einsum("bmcn,bmcn->mc", G, G)
+        G = spec.girsanov_noise(Zs)
+        logphi += (np.einsum("bmcp,bcp->mc", G, dw[..., :spec.p_tilde])
+                   - 0.5 * dt * np.einsum("bmcp,bmcp->mc", G, G))
     return Z, logphi
 
 
@@ -297,16 +293,17 @@ def deterministic_flow(spec: OperatorSpec, x, t: float, steps: int) -> FlowState
 
 
 def variation_flow_along_path(spec: OperatorSpec, bundle: PathBundle) -> np.ndarray:
-    """First-variation matrix at t_end, integrated along the bundle's X path.
-
-    Uses the degree-4 truncated exponential of (A + DF(X_k)) dt per step,
-    which keeps the Gronwall bound exp((||A|| + ||DF||_0) t) valid for the
-    discrete product.
-    """
-    eta = np.eye(spec.n)
-    for k in range(bundle.grid.steps):
-        eta = _taylor4_apply(spec.A + spec.F.jacobian(bundle.X[k]), bundle.grid.dt, eta)
-    return eta
+    """First-variation matrix at t_end along the bundle's X path: the
+    product of the exact tangents e^{dtA}(I + dt DF(X_k)) of its steps.
+    Each factor has norm at most e^{dt(||A|| + ||DF||_0)}, so the Gronwall
+    bound exp((||A|| + ||DF||_0) t) holds for the discrete product."""
+    eAdt = matrix_exp(spec.A, bundle.grid.dt)
+    V = np.eye(spec.n)
+    for x in bundle.X[:-1]:
+        if not spec.F.is_zero:
+            V = V + spec.F.tangent(x[None], V)[1] * bundle.grid.dt
+        V = V @ eAdt.T
+    return V.T
 
 
 def write_path_csv(bundles, fileobj):

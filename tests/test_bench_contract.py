@@ -28,10 +28,11 @@ LAYER_METRIC = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_request_passes_under_tracer(name):
+def play(name, i):
+    """Request i of the workload, run under the tracer: its labelled
+    outputs, after every check has passed and the layer metric moved."""
     w = WORKLOADS[name](kolmotk, 1)
-    r = w.request(0)
+    r = w.request(i)
     tracer = Tracer()
     with tracer.installed(), tracer.span(f"request.{name}"):
         out = w.run(r)
@@ -39,7 +40,20 @@ def test_workload_request_passes_under_tracer(name):
     assert not failed
     metrics = layer_metrics(tracer.spans, nominal_steps)
     assert metrics[LAYER_METRIC[name]] > 0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_request_passes_under_tracer(name):
+    out = play(name, 0)
     if name == "scaling_verify":
         # read with a default by the workload, so a rename would pass unseen
         rep = next(res for label, res, _ in out if label == "schauder_ratio")
         assert {"ratios_base", "ratios_doubled"} <= set(rep.provenance)
+
+
+def test_drift_mc_pathwise_request_passes_under_tracer():
+    """Request 2 of every four adds the pathwise derivative, which steps the
+    variation flow and is checked against its Gronwall bound."""
+    out = play("drift_mc", 2)
+    assert [label for label, _, _ in out] == ["direct", "girsanov", "pathwise"]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kolmotk import cli, semigroup
 from kolmotk.cli import main
 
 OP_2D = {
@@ -82,14 +83,39 @@ def test_bad_seed_and_budget_exit_code(tmp_path, capsys, command, extra, flags):
     ("evaluate", {"t": True}),
     ("evaluate", {"x": [0.1, 0.2, 0.3]}),
     ("solve", {"lambda": -1}),
+    ("solve", {"lambda": 1, "tol": -1}),
+    ("evaluate", {"threads": 0}),
+    ("evaluate", {"theta": 0.5, "threads": 8}),
+    ("evaluate", {"gamma": 1.5}),
+    ("solve", {"t": 5e-5, "fields": [{"type": "const", "value": 0.0}] * 2}),
 ], ids=["steps-0", "steps-0-dump-paths", "t-nan", "t-negative", "t-grid-negative", "t-bool",
-        "x-wrong-length", "lambda-negative"])
+        "x-wrong-length", "lambda-negative", "tol-negative", "threads-0", "theta-unknown",
+        "gamma-unknown", "parabolic-t-below-tmin"])
 def test_bad_config_value_exit_code(tmp_path, capsys, command, extra):
     doc = {"operator": OP_2D, "t": 0.5, "field": {"type": "const", "value": 1.0}, **extra}
     cfg = write_cfg(tmp_path, doc)
     assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("config_threads, flags, expected", [
+    (None, [], 1), (8, [], 8), (8, ["--threads", "2"], 2),
+], ids=["default", "config", "flag-overrides-config"])
+def test_threads_from_config_or_flag(tmp_path, monkeypatch, config_threads, flags, expected):
+    seen = []
+
+    def fake_evaluate(*args, threads, **kwargs):
+        seen.append(threads)
+        return semigroup.MCEstimate(1.0, 0.0, 2, 0, "direct")
+
+    monkeypatch.setattr(cli, "evaluate", fake_evaluate)
+    doc = {"operator": OP_2D, "t": 0.5, "field": {"type": "const", "value": 1.0}}
+    if config_threads is not None:
+        doc["threads"] = config_threads
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["evaluate", "--config", cfg, "--out", str(tmp_path), *flags]) == 0
+    assert seen == [expected]
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys):

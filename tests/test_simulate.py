@@ -28,6 +28,11 @@ SPEC_OU = OperatorSpec(n=2, p_tilde=1, Q0=[[1.0]], A=[[0.0, 0.0], [1.0, 1.0]],
 DRIFT = DriftField([DriftTerm(1, 0.8, [1.0, 0.5], 0.1)])
 SPEC_NL = OperatorSpec(n=2, p_tilde=1, Q0=[[1.0]], A=[[0.0, 0.0], [1.0, 1.0]],
                        F=DRIFT)
+# the Kalman chain of the drift_mc benchmark, two ridges on coordinate 1
+SPEC_CHAIN = OperatorSpec(n=3, p_tilde=1, Q0=[[1.0]],
+                          A=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                          F=DriftField([DriftTerm(1, 0.6, [1.0, -0.5, 0.25], 0.1),
+                                        DriftTerm(1, -0.4, [0.5, 1.0, -1.0], -0.2)]))
 
 
 def test_path_grid():
@@ -154,6 +159,19 @@ def test_variation_gronwall_bound():
     )
     norms = np.linalg.norm(eta[0], ord=2, axis=(1, 2))
     assert norms.max() <= bound * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("spec", [SPEC_NL, SPEC_CHAIN], ids=["readme-2d", "chain-3d"])
+def test_variation_is_derivative_of_simulated_endpoint(spec):
+    """eta is the derivative of the X that the stepper returns: it equals
+    the central difference of simulate_endpoints over shared noise."""
+    n, eps = spec.n, 1e-6
+    x = np.linspace(-0.3, 0.2, n)
+    _, eta = simulate_endpoints(spec, x, 0.5, 500, 9, 200, with_variation=True)
+    X = simulate_endpoints(spec, np.concatenate([x + eps * np.eye(n), x - eps * np.eye(n)]),
+                           0.5, 500, 9, 200)
+    fd = (X[:n] - X[n:]) / (2 * eps)  # (j, path, i)
+    assert np.allclose(eta[0], fd.transpose(1, 2, 0), rtol=0.0, atol=1e-7)
 
 
 def test_variation_along_path_matches_endpoint_variation():
