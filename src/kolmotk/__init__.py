@@ -61,7 +61,6 @@ from .simulate import (
     sample_ou_endpoints,
     simulate_bundle,
     simulate_endpoints,
-    variation_flow_along_path,
     write_path_csv,
 )
 from .verify import (

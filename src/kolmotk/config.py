@@ -61,12 +61,14 @@ def _require(d, key, where):
 def _matrix(value, where, shape=None):
     try:
         m = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where} is not a numeric matrix: {exc}") from None
     if m.ndim != 2:
         raise ConfigError(f"{where} must be a nested (row-major) array")
     if shape is not None and m.shape != shape:
         raise ConfigError(f"{where} must have shape {shape}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ConfigError(f"{where} must hold finite numbers")
     return m
 
 
@@ -76,33 +78,44 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
+def _number(d, key, where, default=None):
+    v = _require(d, key, where) if default is None else d.get(key, default)
+    if not _is_number(v):
+        raise ConfigError(f"{where}.{key} must be a finite number")
+    return float(v)
+
+
+def _vector(d, key, where, n):
+    v = _require(d, key, where)
+    if not (isinstance(v, list) and len(v) == n and all(map(_is_number, v))):
+        raise ConfigError(f"{where}.{key} must be an array of length {n} of finite numbers")
+    return np.array(v, dtype=float)
+
+
 def operator_from_config(doc) -> OperatorSpec:
     if not isinstance(doc, dict):
         raise ConfigError("'operator' must be an object")
     _reject_unknown(doc, _OPERATOR_KEYS, "operator")
     n = _require(doc, "n", "operator")
     p = _require(doc, "p_tilde", "operator")
-    if not (isinstance(n, int) and isinstance(p, int) and 1 <= p <= n):
+    if not (type(n) is int and type(p) is int and 1 <= p <= n):
         raise ConfigError("operator requires integers 1 <= p_tilde <= n")
     Q0 = _matrix(_require(doc, "Q0", "operator"), "operator.Q0", (p, p))
     A = _matrix(_require(doc, "A", "operator"), "operator.A", (n, n))
+    drift = doc.get("drift", [])
+    if not isinstance(drift, list):
+        raise ConfigError("operator.drift must be an array of terms")
     terms = []
-    for j, td in enumerate(doc.get("drift", [])):
+    for j, td in enumerate(drift):
         where = f"operator.drift[{j}]"
         if not isinstance(td, dict):
             raise ConfigError(f"{where} must be an object")
         _reject_unknown(td, _DRIFT_KEYS, where)
-        a = np.array(_require(td, "a", where), dtype=float)
-        if a.shape != (n,):
-            raise ConfigError(f"{where}.a must have length {n}")
-        terms.append(
-            DriftTerm(
-                i=int(_require(td, "i", where)),
-                c=float(_require(td, "c", where)),
-                a=a,
-                b=float(td.get("b", 0.0)),
-            )
-        )
+        i = _require(td, "i", where)
+        if not (type(i) is int and 1 <= i <= p):
+            raise ConfigError(f"{where}.i must be an integer in 1..p_tilde")
+        terms.append(DriftTerm(i=i, c=_number(td, "c", where), a=_vector(td, "a", where, n),
+                               b=_number(td, "b", where, 0.0)))
     try:
         return OperatorSpec(n=n, p_tilde=p, Q0=Q0, A=A, F=DriftField(terms))
     except ValueError as exc:
@@ -119,12 +132,10 @@ def field_from_config(doc, n) -> ScalarField:
     if "box" in doc:
         box = _matrix(doc["box"], "field.box", (n, 2))
     if kind == "const":
-        return ScalarField.constant(float(_require(doc, "value", "field")), n, box=box)
+        return ScalarField.constant(_number(doc, "value", "field"), n, box=box)
     if kind == "cos":
-        w = np.array(_require(doc, "w", "field"), dtype=float)
-        if w.shape != (n,):
-            raise ConfigError(f"field.w must have length {n}")
-        return ScalarField.cosine(w, amplitude=float(doc.get("amplitude", 1.0)), box=box)
+        return ScalarField.cosine(_vector(doc, "w", "field", n), box=box,
+                                  amplitude=_number(doc, "amplitude", "field", 1.0))
     raise ConfigError(f"unknown field type '{kind}'")
 
 
@@ -163,7 +174,7 @@ def parse_config(doc) -> RunConfig:
               "paths_per_node": 2, "dump_paths": 0}
     for key, low in lowest.items():
         v = params.get(key, low)
-        if isinstance(v, bool) or not isinstance(v, int) or v < low:
+        if type(v) is not int or v < low:
             raise ConfigError(f"'{key}' must be an integer >= {low}")
     if params.get("seed", 0) >= 2**64:
         raise ConfigError("'seed' must be below 2**64")
@@ -188,6 +199,8 @@ def parse_config(doc) -> RunConfig:
     if "field" in params:
         params["field"] = field_from_config(params["field"], operator.n)
     if "fields" in params:
+        if not isinstance(params["fields"], list):
+            raise ConfigError("'fields' must be an array of fields")
         params["fields"] = [field_from_config(d, operator.n) for d in params["fields"]]
     return RunConfig(operator=operator, params=params)
 

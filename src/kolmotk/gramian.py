@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularGramian
+from .errors import KolmotkError, SingularGramian
 from .kalman import KalmanDecomposition
 from .operators import OperatorSpec, matrix_exp
 
@@ -157,10 +157,17 @@ def gramian(spec: OperatorSpec, t: float, dec: KalmanDecomposition | None = None
         raise ValueError("t must be positive")
     if dec is None:
         dec = spec.decomposition()
-    scaled, exps = _scaled_gramian(spec, dec, t)
+    with np.errstate(all="ignore"):
+        try:
+            scaled, exps = _scaled_gramian(spec, dec, t)
+            matrix = _van_loan(spec.A, spec.Q, t)
+        except (OverflowError, ValueError):  # a doubling count from inf or NaN
+            scaled = matrix = np.array(np.nan)
+    if not (np.isfinite(scaled).all() and np.isfinite(matrix).all()):
+        raise KolmotkError(f"Q_t is not representable in float64 at t={t:g}")
     return Gramian(
         t=float(t),
-        matrix=_van_loan(spec.A, spec.Q, t),
+        matrix=matrix,
         dec=dec,
         scaled=scaled,
         scaled_eig=tuple(np.linalg.eigh(scaled)),

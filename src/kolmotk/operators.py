@@ -210,16 +210,9 @@ class OperatorSpec:
         return out
 
     def girsanov_noise(self, x):
-        """The first p_tilde coordinates of G(x), the only ones F reaches."""
+        """G(x) = Q^{-1/2} F(x), the drift in noise units, on the p_tilde coordinates F reaches."""
         proj = self._cached("G_proj", lambda: np.eye(self.n, self.p_tilde) @ self.Q0_inv_sqrt.T)
         return self.F.value(x, proj)
-
-    def girsanov_field(self, x):
-        """G(x) = Q^{-1/2} F(x): the drift expressed in noise units."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., : self.p_tilde] = self.girsanov_noise(x)
-        return out
 
     def decomposition(self, tol=1e-10):
         """Cached Kalman decomposition of this operator."""

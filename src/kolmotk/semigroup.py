@@ -25,7 +25,8 @@ from .errors import SingularGramian
 from .gramian import TMIN, gramian
 from .holder import ScalarField
 from .operators import OperatorSpec, matrix_exp
-from .simulate import brownian_increments, girsanov_endpoints, simulate_endpoints
+from .simulate import (_gaussian_endpoints, brownian_increments, girsanov_endpoints,
+                       simulate_endpoints)
 
 __all__ = [
     "MCEstimate",
@@ -78,13 +79,12 @@ def _endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=0, threads=1,
                                       path_offset=path_offset, threads=threads)
         return simulate_endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=path_offset,
                                   threads=threads, with_variation=with_variation)
-    eA = matrix_exp(spec.A, t)
     xi = np.concatenate([brownian_increments(seed, pid, 1, spec.n, 1.0)
                          for pid in range(path_offset, path_offset + n_paths)])
-    X = (np.atleast_2d(x0s) @ eA.T)[:, None, :] + xi @ gramian(spec, t).sqrt_factor().T
+    X = _gaussian_endpoints(spec, x0s, t, xi)
     if method == "girsanov":
         return X, np.zeros(X.shape[:2])
-    return (X, np.broadcast_to(eA, X.shape + (spec.n,))) if with_variation else X
+    return (X, np.broadcast_to(matrix_exp(spec.A, t), X.shape + (spec.n,))) if with_variation else X
 
 
 def evaluate(
@@ -165,6 +165,8 @@ def derivative_estimate(
         raise ValueError("multi-index order must be 1..3")
     if t < TMIN:
         raise SingularGramian(f"t={t:g} below the minimum semigroup scale {TMIN:g}")
+    if method not in ("fd", "pathwise"):
+        raise ValueError(f"unknown method {method!r}")
     steps = default_steps(t) if steps is None else steps
     x = np.asarray(x, dtype=float)
     n = spec.n

@@ -10,6 +10,9 @@ the derivative of the X it returns), ``girsanov_endpoints`` the linear
 reference path Z and its Girsanov log-weight.  With F == 0 the two paths
 are the same arithmetic, so X == Z is exact rather than statistical, and
 results are bit-identical no matter how paths are chunked across threads.
+Each stepper is one private generator of its states; the endpoints are its
+last state and ``simulate_bundle`` stacks every state of one path, so a
+dumped path is the arithmetic the estimators run.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "simulate_endpoints",
     "girsanov_endpoints",
     "deterministic_flow",
-    "variation_flow_along_path",
     "write_path_csv",
 ]
 
@@ -63,12 +65,9 @@ class PathGrid:
 @dataclass(frozen=True)
 class PathBundle:
     grid: PathGrid
-    x0: np.ndarray
-    dW: np.ndarray  # (K, n)
     Z: np.ndarray  # (K+1, n) linear reference path
     X: np.ndarray  # (K+1, n) full path
     log_phi: np.ndarray  # (K+1,) running Girsanov log-weight
-    seed: int
     path_id: int
 
 
@@ -101,13 +100,16 @@ def brownian_increments(seed, path_id, steps, n, dt):
 # --- exact linear sampling --------------------------------------------------
 
 
+def _gaussian_endpoints(spec: OperatorSpec, x0s, t: float, xi):
+    """The exact F == 0 endpoints e^{tA} x + S xi with S S' = Q_t, shape
+    (m, len(xi), n): the normals xi (N, n) are shared by every start in x0s."""
+    X = (np.atleast_2d(x0s) @ matrix_exp(spec.A, t).T)[:, None, :]
+    return X + xi @ gramian(spec, t).sqrt_factor().T
+
+
 def sample_ou_endpoints(spec: OperatorSpec, x, t: float, size: int, rng: np.random.Generator):
     """Exact-in-distribution batch of linear endpoints, shape (size, n)."""
-    g = gramian(spec, t)
-    S = g.sqrt_factor()
-    mean = matrix_exp(spec.A, t) @ np.asarray(x, dtype=float)
-    xi = rng.standard_normal((size, spec.n))
-    return mean + xi @ S.T
+    return _gaussian_endpoints(spec, x, t, rng.standard_normal((size, spec.n)))[0]
 
 
 # --- exponential Euler ------------------------------------------------------
@@ -116,30 +118,6 @@ def sample_ou_endpoints(spec: OperatorSpec, x, t: float, size: int, rng: np.rand
 def _step_matrices(spec: OperatorSpec, dt: float):
     eAdt = matrix_exp(spec.A, dt)
     return eAdt, eAdt @ spec.Q_sqrt
-
-
-def simulate_bundle(spec: OperatorSpec, x, grid: PathGrid, seed: int, path_id: int = 0) -> PathBundle:
-    """Full record of one path: increments, Z, X and running log-weight."""
-    n = spec.n
-    K = grid.steps
-    dt = grid.dt
-    dW = brownian_increments(seed, path_id, K, n, dt)
-    eAdt, eAS = _step_matrices(spec, dt)
-    x0 = np.asarray(x, dtype=float)
-    Z = np.empty((K + 1, n))
-    X = np.empty((K + 1, n))
-    log_phi = np.zeros(K + 1)
-    Z[0] = x0
-    X[0] = x0
-    for k in range(K):
-        dw = dW[k]
-        G = spec.girsanov_field(Z[k])
-        log_phi[k + 1] = log_phi[k] + G @ dw - 0.5 * (G @ G) * dt
-        Z[k + 1] = eAdt @ Z[k] + eAS @ dw
-        X[k + 1] = eAdt @ (X[k] + spec.F.value(X[k]) * dt) + eAS @ dw
-    return PathBundle(
-        grid=grid, x0=x0, dW=dW, Z=Z, X=X, log_phi=log_phi, seed=int(seed), path_id=int(path_id)
-    )
 
 
 def _noise_blocks(eAS, dt, steps, seed, ids):
@@ -156,11 +134,10 @@ def _noise_blocks(eAS, dt, steps, seed, ids):
         yield dw, np.matmul(dw, eAS.T, out=noise[:len(dw)])
 
 
-def _x_chunk(spec, x0s, t, steps, seed, ids, with_variation):
-    """X (m, c, n) at t for every start in x0s and, if asked, eta (m, c, n, n),
-    the exact derivative of the step X' = e^{dtA}(X + dt F(X)) + noise:
-    eta' = e^{dtA}(I + dt DF(X)) eta.  X is held as (m c, n) and the
-    tangent rows V = eta^T as (m c n, n), so every product is one matmul."""
+def _x_steps(spec, x0s, t, steps, seed, ids, with_variation):
+    """X (m c, n) after every step X' = e^{dtA}(X + dt F(X)) + noise, and the
+    tangent rows V = eta^T (m c n, n) of its exact derivative
+    eta' = e^{dtA}(I + dt DF(X)) eta if asked (else None), one matmul each."""
     dt = t / steps
     eAdt, eAS = _step_matrices(spec, dt)
     F, m, c, n = spec.F, len(x0s), len(ids), spec.n
@@ -176,26 +153,43 @@ def _x_chunk(spec, x0s, t, steps, seed, ids, with_variation):
             X = ((X @ eAdt.T).reshape(m, c, n) + dx).reshape(m * c, n)
             if with_variation:
                 V = V @ eAdt.T
-    X = X.reshape(m, c, n)
-    return (X, V.reshape(m, c, n, n).swapaxes(2, 3)) if with_variation else (X,)
+            yield X, V
 
 
-def _z_chunk(spec, x0s, t, steps, seed, ids):
-    """Z (m, c, n) at t and log_phi (m, c): the left-point sum of
-    <G(Z), dW> - |G(Z)|^2 dt / 2, taken over each block of steps at once
-    and over the first p_tilde coordinates, the only ones G can reach."""
+def _x_chunk(spec, x0s, t, steps, seed, ids, with_variation):
+    """X (m, c, n) at t for every start in x0s and, if asked, eta (m, c, n, n)."""
+    for X, V in _x_steps(spec, x0s, t, steps, seed, ids, with_variation):
+        pass
+    X = X.reshape(len(x0s), len(ids), spec.n)
+    return (X, V.reshape(X.shape + (spec.n,)).swapaxes(2, 3)) if with_variation else (X,)
+
+
+def _z_blocks(spec, x0s, t, steps, seed, ids):
+    """Per block of steps: the left points Zs (b, m, c, n) of Z' = e^{dtA} Z +
+    noise, G(Zs) and dW on the first p_tilde coordinates (the only ones G
+    reaches), and Z after the block."""
     dt = t / steps
     eAdt, eAS = _step_matrices(spec, dt)
     Z = np.broadcast_to(x0s[:, None, :], (len(x0s), len(ids), spec.n)).copy()
-    logphi = np.zeros(Z.shape[:2])
     for dw, noise in _noise_blocks(eAS, dt, steps, seed, ids):
         Zs = np.empty((len(noise),) + Z.shape)
         for k, dz in enumerate(noise):
             Zs[k] = Z
             Z = Z @ eAdt.T + dz
-        G = spec.girsanov_noise(Zs)
-        logphi += (np.einsum("bmcp,bcp->mc", G, dw[..., :spec.p_tilde])
-                   - 0.5 * dt * np.einsum("bmcp,bmcp->mc", G, G))
+        yield Zs, spec.girsanov_noise(Zs), dw[..., :spec.p_tilde], Z
+
+
+def _log_weight(G, dw, dt):
+    """Sum of the log-weight increments <G, dW> - |G|^2 dt / 2 over a block, (m, c)."""
+    return np.einsum("bmcp,bcp->mc", G, dw) - 0.5 * dt * np.einsum("bmcp,bmcp->mc", G, G)
+
+
+def _z_chunk(spec, x0s, t, steps, seed, ids):
+    """Z (m, c, n) at t and log_phi (m, c)."""
+    logphi = np.zeros((len(x0s), len(ids)))
+    for Zs, G, dw, Z in _z_blocks(spec, x0s, t, steps, seed, ids):
+        logphi += _log_weight(G, dw, t / steps)
+        del Zs  # free this block's points before the next block allocates its own
     return Z, logphi
 
 
@@ -263,6 +257,19 @@ def girsanov_endpoints(
     return _run_chunks(_z_chunk, spec, x0s, t, steps, seed, n_paths, path_offset, threads)
 
 
+def simulate_bundle(spec: OperatorSpec, x, grid: PathGrid, seed: int, path_id: int = 0) -> PathBundle:
+    """Full record of one path: Z, X and the running log-weight after every
+    step, stacked from what the endpoint steppers yield for that path."""
+    x0 = np.asarray(x, dtype=float)
+    args = (spec, x0[None], grid.t_end, grid.steps, seed, [int(path_id)])
+    X = np.stack([x0] + [Xk[0] for Xk, _ in _x_steps(*args, False)])
+    Z, dlog = [], [0.0]
+    for Zs, G, dw, Zk in _z_blocks(*args):
+        Z.append(Zs[:, 0, 0])
+        dlog += [_log_weight(G[k:k + 1], dw[k:k + 1], grid.dt)[0, 0] for k in range(len(G))]
+    return PathBundle(grid, np.concatenate(Z + [Zk[0]]), X, np.cumsum(dlog), int(path_id))
+
+
 # --- deterministic and variational flows ------------------------------------
 
 
@@ -292,34 +299,12 @@ def deterministic_flow(spec: OperatorSpec, x, t: float, steps: int) -> FlowState
     return FlowState(*state)
 
 
-def variation_flow_along_path(spec: OperatorSpec, bundle: PathBundle) -> np.ndarray:
-    """First-variation matrix at t_end along the bundle's X path: the
-    product of the exact tangents e^{dtA}(I + dt DF(X_k)) of its steps.
-    Each factor has norm at most e^{dt(||A|| + ||DF||_0)}, so the Gronwall
-    bound exp((||A|| + ||DF||_0) t) holds for the discrete product."""
-    eAdt = matrix_exp(spec.A, bundle.grid.dt)
-    V = np.eye(spec.n)
-    for x in bundle.X[:-1]:
-        if not spec.F.is_zero:
-            V = V + spec.F.tangent(x[None], V)[1] * bundle.grid.dt
-        V = V @ eAdt.T
-    return V.T
-
-
 def write_path_csv(bundles, fileobj):
     """Dump bundles as CSV: path_id, k, t, Z_1..Z_n, X_1..X_n, logPhi."""
-    first = bundles[0]
-    n = first.x0.shape[0]
-    cols = ["path_id", "k", "t"]
-    cols += [f"Z_{i}" for i in range(1, n + 1)]
-    cols += [f"X_{i}" for i in range(1, n + 1)]
-    cols.append("logPhi")
+    coords = range(1, bundles[0].X.shape[1] + 1)
+    cols = ["path_id", "k", "t", *(f"Z_{i}" for i in coords), *(f"X_{i}" for i in coords), "logPhi"]
     fileobj.write(",".join(cols) + "\n")
     for b in bundles:
-        times = b.grid.times
-        for k in range(b.grid.steps + 1):
-            row = [str(b.path_id), str(k), repr(float(times[k]))]
-            row += [repr(float(v)) for v in b.Z[k]]
-            row += [repr(float(v)) for v in b.X[k]]
-            row.append(repr(float(b.log_phi[k])))
-            fileobj.write(",".join(row) + "\n")
+        for k, t in enumerate(b.grid.times):
+            row = [repr(float(v)) for v in (t, *b.Z[k], *b.X[k], b.log_phi[k])]
+            fileobj.write(",".join([str(b.path_id), str(k)] + row) + "\n")

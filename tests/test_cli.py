@@ -14,6 +14,7 @@ OP_2D = {
     "drift": [],
 }
 OP_NL = dict(OP_2D, drift=[{"i": 1, "c": 0.8, "a": [1.0, 0.5], "b": 0.1}])
+NAN, INF = float("nan"), float("inf")
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -88,9 +89,21 @@ def test_bad_seed_and_budget_exit_code(tmp_path, capsys, command, extra, flags):
     ("evaluate", {"theta": 0.5, "threads": 8}),
     ("evaluate", {"gamma": 1.5}),
     ("solve", {"t": 5e-5, "fields": [{"type": "const", "value": 0.0}] * 2}),
+    ("evaluate", {"operator": dict(OP_NL, drift=[dict(OP_NL["drift"][0], b=None)])}),
+    ("evaluate", {"operator": dict(OP_NL, drift=[dict(OP_NL["drift"][0], i=1.5)])}),
+    ("evaluate", {"operator": dict(OP_NL, drift=[dict(OP_NL["drift"][0], a=[1.0, NAN])])}),
+    ("evaluate", {"operator": dict(OP_2D, drift=5)}),
+    ("evaluate", {"operator": dict(OP_NL, A=[[0.0, 0.0], [1.0, NAN]])}),
+    ("evaluate", {"operator": dict(OP_NL, A=[[0.0, 0.0], [INF, 1.0]])}),
+    ("evaluate", {"operator": dict(OP_NL, Q0=[[INF]])}),
+    ("evaluate", {"field": {"type": "const", "value": None}}),
+    ("evaluate", {"field": {"type": "cos", "w": [1.0, INF]}}),
+    ("solve", {"fields": 5}),
 ], ids=["steps-0", "steps-0-dump-paths", "t-nan", "t-negative", "t-grid-negative", "t-bool",
         "x-wrong-length", "lambda-negative", "tol-negative", "threads-0", "theta-unknown",
-        "gamma-unknown", "parabolic-t-below-tmin"])
+        "gamma-unknown", "parabolic-t-below-tmin", "drift-b-null", "drift-i-fraction",
+        "drift-a-nan", "drift-not-array", "A-nan", "A-inf", "Q0-inf", "field-value-null",
+        "field-w-inf", "fields-not-array"])
 def test_bad_config_value_exit_code(tmp_path, capsys, command, extra):
     doc = {"operator": OP_2D, "t": 0.5, "field": {"type": "const", "value": 1.0}, **extra}
     cfg = write_cfg(tmp_path, doc)
@@ -124,6 +137,17 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, doc)
     assert run(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [1e3, 1e300, 1e-200])
+def test_gramian_out_of_float_range_is_numeric_failure(tmp_path, capsys, t):
+    """e^{tA} overflows, or the scaled factorization underflows: rc 3 with
+    one line, where NaN rows used to be written with rc 0."""
+    cfg = write_cfg(tmp_path, {"operator": OP_2D, "t": t})
+    assert run(["gramian", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure:")
+    assert not (tmp_path / "gramian.csv").exists()
 
 
 def test_gramian_closed_form(tmp_path):

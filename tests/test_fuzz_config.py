@@ -1,0 +1,111 @@
+"""Fuzzed front door: mutated README configs either parse or fail with a
+ConfigError, and the non-simulating commands (analyze, gramian) end with
+an exit code in {0, 2, 3} and no traceback.  Examples are derandomized so
+that a run is reproducible, and no command simulates a path."""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kolmotk.cli import main
+from kolmotk.config import parse_config
+from kolmotk.errors import ConfigError
+
+README = {
+    "operator": {"n": 2, "p_tilde": 1, "Q0": [[1.0]], "A": [[0, 0], [1, 1]],
+                 "drift": [{"i": 1, "c": 0.8, "a": [1.0, 0.5], "b": 0.1}]},
+    "t": 0.5, "x": [0.2, -0.1], "seed": 7, "budget": 10000,
+    "field": {"type": "cos", "w": [1.0, 0.5]},
+}
+CHAIN = {
+    "operator": {"n": 3, "p_tilde": 1, "Q0": [[1.0]],
+                 "A": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+                 "drift": [{"i": 1, "c": 0.6, "a": [1.0, -0.5, 0.25], "b": 0.1}]},
+    "t_grid": [0.01, 0.1, 1.0], "threads": 2,
+    "fields": [{"type": "const", "value": 1.0, "box": [[-1, 1], [-1, 1], [-1, 1]]},
+               {"type": "cos", "w": [1.0, 0.0, 0.5], "amplitude": 0.5}],
+}
+KEYS = ["operator", "n", "p_tilde", "Q0", "A", "drift", "i", "c", "a", "b", "t", "t_grid",
+        "s_grid", "x", "seed", "threads", "budget", "steps", "lambda", "tol", "method",
+        "field", "fields", "type", "value", "w", "amplitude", "box", "dump_paths"]
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.integers(-2**80, 2**80),
+    st.floats(allow_nan=True, allow_infinity=True), st.floats(-1e3, 1e3),
+    st.sampled_from(["", "const", "cos", "direct", "x", 1e-300, 1e300]),
+)
+VALUES = st.recursive(
+    SCALARS, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+        st.sampled_from(KEYS), kids, max_size=3), max_leaves=8)
+
+
+def _slots(doc, path=()):
+    """Every (container path, key or index) in a nested document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, v in items:
+        yield path, key
+        if isinstance(v, (dict, list)):
+            yield from _slots(v, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_configs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from([README, CHAIN])))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        path, key = draw(st.sampled_from(slots))
+        box = _at(doc, path)
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "delete":
+            del box[key]
+        elif op == "add" and isinstance(box, dict):
+            box[draw(st.sampled_from(KEYS))] = draw(VALUES)
+        else:
+            box[key] = draw(VALUES)
+    return doc
+
+
+FUZZ = settings(max_examples=300, derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(mutated_configs())
+def test_parse_config_accepts_or_raises_config_error(doc):
+    try:
+        parse_config(doc)
+    except ConfigError:
+        pass
+
+
+@FUZZ
+@given(mutated_configs(), st.sampled_from(["analyze", "gramian"]))
+def test_cli_exit_code_contract(doc, command):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        cfg = Path(d) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([command, "--config", str(cfg), "--out", d])
+        if rc == 0 and command == "gramian":
+            rows = (Path(d) / "gramian.csv").read_text().splitlines()[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert len(err.getvalue().splitlines()) == 1

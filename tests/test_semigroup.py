@@ -132,6 +132,8 @@ def test_derivative_validation():
         derivative_estimate(SPEC_OU, COS, 0.3, X0, (1, 1, 1, 1), 100, 0)
     with pytest.raises(ValueError):
         derivative_estimate(SPEC_OU, COS, 0.3, X0, (1, 2), 100, 0, method="pathwise")
+    with pytest.raises(ValueError, match="unknown method 'pathwse'"):
+        derivative_estimate(SPEC_OU, COS, 0.3, X0, (1,), 100, 0, method="pathwse")
 
 
 def test_quadrature_scheme_build():

@@ -18,7 +18,6 @@ from kolmotk import (
     sample_ou_endpoints,
     simulate_bundle,
     simulate_endpoints,
-    variation_flow_along_path,
     write_path_csv,
 )
 from kolmotk.simulate import brownian_increments, path_rng
@@ -120,13 +119,29 @@ def test_girsanov_weight_has_unit_mean():
 
 
 def test_bundle_consistent_with_endpoints():
-    grid = PathGrid(0.3, 32)
-    b = simulate_bundle(SPEC_NL, np.zeros(2), grid, 5, path_id=2)
-    X = simulate_endpoints(SPEC_NL, np.zeros(2), 0.3, 32, 5, 1, path_offset=2)
-    Z, logphi = girsanov_endpoints(SPEC_NL, np.zeros(2), 0.3, 32, 5, 1, path_offset=2)
-    assert np.allclose(b.Z[-1], Z[0, 0], atol=1e-12)
-    assert np.allclose(b.X[-1], X[0, 0], atol=1e-12)
-    assert np.isclose(b.log_phi[-1], logphi[0, 0], atol=1e-12)
+    """Every recorded step follows the one-path recursion of the
+    exponential-Euler and Girsanov steps, written out here over more than
+    one block of steps, and the last one is what both steppers return."""
+    x0, seed, pid = np.array([0.1, -0.2]), 5, 2
+    grid = PathGrid(0.3, 70)
+    b = simulate_bundle(SPEC_NL, x0, grid, seed, path_id=pid)
+    dt = grid.dt
+    eAdt = matrix_exp(SPEC_NL.A, dt)
+    eAS = eAdt @ SPEC_NL.Q_sqrt
+    Z, X, lp = [x0], [x0], [0.0]
+    for dw in brownian_increments(seed, pid, grid.steps, 2, dt):
+        g = SPEC_NL.Q0_inv_sqrt @ DRIFT(Z[-1])[:1]
+        lp.append(lp[-1] + g @ dw[:1] - 0.5 * dt * (g @ g))
+        Z.append(eAdt @ Z[-1] + eAS @ dw)
+        X.append(eAdt @ (X[-1] + dt * DRIFT(X[-1])) + eAS @ dw)
+    assert np.allclose(b.Z, Z, rtol=0.0, atol=1e-12)
+    assert np.allclose(b.X, X, rtol=0.0, atol=1e-12)
+    assert np.allclose(b.log_phi, lp, rtol=0.0, atol=1e-12)
+    Xe = simulate_endpoints(SPEC_NL, x0, 0.3, 70, seed, 1, path_offset=pid)
+    Ze, logphi = girsanov_endpoints(SPEC_NL, x0, 0.3, 70, seed, 1, path_offset=pid)
+    assert np.array_equal(b.X[-1], Xe[0, 0])
+    assert np.array_equal(b.Z[-1], Ze[0, 0])
+    assert np.isclose(b.log_phi[-1], logphi[0, 0], rtol=0.0, atol=1e-12)
 
 
 def test_deterministic_flow_zero_drift_is_matrix_exp():
@@ -172,16 +187,6 @@ def test_variation_is_derivative_of_simulated_endpoint(spec):
                            0.5, 500, 9, 200)
     fd = (X[:n] - X[n:]) / (2 * eps)  # (j, path, i)
     assert np.allclose(eta[0], fd.transpose(1, 2, 0), rtol=0.0, atol=1e-7)
-
-
-def test_variation_along_path_matches_endpoint_variation():
-    grid = PathGrid(0.4, 64)
-    b = simulate_bundle(SPEC_NL, np.array([0.1, 0.2]), grid, 13, path_id=0)
-    eta_b = variation_flow_along_path(SPEC_NL, b)
-    _, eta = simulate_endpoints(
-        SPEC_NL, np.array([0.1, 0.2]), 0.4, 64, 13, 1, with_variation=True
-    )
-    assert np.allclose(eta_b, eta[0, 0], atol=1e-12)
 
 
 def test_exponential_update_propagates_mean_exactly():
