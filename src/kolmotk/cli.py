@@ -224,7 +224,7 @@ def main(argv=None) -> int:
         # a ValueError is a library precondition that the config did not meet
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KolmotkError as exc:
+    except (KolmotkError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

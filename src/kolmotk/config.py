@@ -58,24 +58,20 @@ def _require(d, key, where):
     return d[key]
 
 
-def _matrix(value, where, shape=None):
-    try:
-        m = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where} is not a numeric matrix: {exc}") from None
-    if m.ndim != 2:
-        raise ConfigError(f"{where} must be a nested (row-major) array")
-    if shape is not None and m.shape != shape:
-        raise ConfigError(f"{where} must have shape {shape}, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ConfigError(f"{where} must hold finite numbers")
-    return m
-
-
 def _is_number(v):
     """A finite JSON number: not a bool, NaN, infinity or an integer beyond
     the float range."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _matrix(value, where, shape):
+    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
+        raise ConfigError(f"{where} must be a nested (row-major) array")
+    if len(value) != shape[0] or any(len(row) != shape[1] for row in value):
+        raise ConfigError(f"{where} must have shape {shape}")
+    if not all(_is_number(v) for row in value for v in row):
+        raise ConfigError(f"{where} must hold finite numbers")
+    return np.array(value, dtype=float)
 
 
 def _number(d, key, where, default=None):

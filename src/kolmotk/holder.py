@@ -95,9 +95,6 @@ class ScalarField:
 class SeminormEstimate:
     value: float
     witness: tuple  # (x, v) achieving the recorded maximum ratio
-    samples: int
-    gamma: float
-    scale_range: tuple
     sup_sample: float  # max |f| seen at probed points (reused by holder_norm)
 
 
@@ -172,14 +169,7 @@ def holder_seminorm(
         if ratio > best:
             best = ratio
             witness = (x, v)
-    return SeminormEstimate(
-        value=float(best),
-        witness=witness,
-        samples=budget,
-        gamma=float(gamma),
-        scale_range=(SCALE_MIN, 1.0),
-        sup_sample=sup_sample,
-    )
+    return SeminormEstimate(value=float(best), witness=witness, sup_sample=sup_sample)
 
 
 def holder_norm(f: ScalarField, gamma: float, dec, budget: int, seed: int) -> float:

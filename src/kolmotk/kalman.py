@@ -81,7 +81,6 @@ class KalmanDecomposition:
     k: int
     blocks: tuple
     basis: np.ndarray  # (n, n) orthogonal
-    rank_tol: float
 
     @property
     def n(self):
@@ -173,4 +172,4 @@ def decompose(spec: OperatorSpec, tol: float = DEFAULT_RANK_TOL) -> KalmanDecomp
             f"decomposition spans {next_index - 1} < {n} directions"
         )
     full = np.column_stack([b.basis for b in blocks])
-    return KalmanDecomposition(k=k, blocks=tuple(blocks), basis=_frozen(full), rank_tol=tol)
+    return KalmanDecomposition(k=k, blocks=tuple(blocks), basis=_frozen(full))

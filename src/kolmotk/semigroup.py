@@ -11,7 +11,9 @@ same Brownian increments, so the difference quotient variance stays
 bounded as the step shrinks.  When F == 0 the endpoints are drawn from
 their exact Gaussian law instead of stepped, and ``cosine_propagator``
 maps a cosine mixture through P_t in closed form: every zero-drift oracle
-is that map followed by a quadrature sum.
+is that map followed by a quadrature sum.  Both solvers are one node sum,
+sum_j w_j P_{t_j} f_j(x), in which every node with t > 0 reads its own
+block of paths.
 """
 
 from __future__ import annotations
@@ -229,18 +231,17 @@ class QuadratureScheme:
         tol: float = 1e-4,
         nodes_per_panel: int = 6,
         paths_per_node: int = 1000,
-        t_min: float = TMIN,
         panels_per_decade: int = 2,
     ):
-        """Log-spaced panels from t_min to a tail-bounded horizon."""
+        """Log-spaced panels from TMIN to a tail-bounded horizon."""
         if lam <= 0.0:
             raise ValueError("lambda must be positive")
         t_max = max(1.0, math.log(max(f_sup, tol) / (lam * tol)) / lam)
-        n_panels = max(1, int(math.ceil(panels_per_decade * math.log10(t_max / t_min))))
-        bounds = np.geomspace(t_min, t_max, n_panels + 1)
+        n_panels = max(1, int(math.ceil(panels_per_decade * math.log10(t_max / TMIN))))
+        bounds = np.geomspace(TMIN, t_max, n_panels + 1)
         tail = math.exp(-lam * t_max) / lam * f_sup
         return cls(
-            t_min=t_min,
+            t_min=TMIN,
             t_max=float(t_max),
             panels=bounds,
             nodes_per_panel=nodes_per_panel,
@@ -258,6 +259,23 @@ class QuadratureScheme:
         return np.concatenate(ts), np.concatenate(ws)
 
 
+def _node_sum(spec, fields, times, weights, x, paths, seed, threads, kind):
+    """sum_j w_j P_{t_j} f_j(x) as one estimate.  A node at t == 0 adds
+    w f(x) exactly; every other node is one ``evaluate`` on the next block
+    of ``paths`` paths, so no two nodes share a path."""
+    x = np.asarray(x, dtype=float)
+    total, var, n_paths = 0.0, 0.0, 0
+    for f, t, w in zip(fields, times, weights):
+        if t == 0.0:
+            total += w * float(f(x[None, :])[0])
+            continue
+        est = evaluate(spec, f, float(t), x, paths, seed, path_offset=n_paths, threads=threads)
+        total += w * est.mean
+        var += (w * est.stderr) ** 2
+        n_paths += est.n_paths
+    return MCEstimate(total, math.sqrt(var), n_paths, int(seed), kind)
+
+
 def solve_elliptic(
     spec: OperatorSpec,
     f: ScalarField,
@@ -272,20 +290,9 @@ def solve_elliptic(
     The [0, t_min] head uses P_t f ~ f(x); the tail beyond t_max is
     dropped (bounded by ``scheme.tail_bound``).
     """
-    x = np.asarray(x, dtype=float)
-    ts, coeffs = _resolvent_nodes(lam, scheme)
-    total = coeffs[0] * float(f(x[None, :])[0])
-    var = 0.0
-    n_paths = 0
-    for j, (t, coeff) in enumerate(zip(ts[1:], coeffs[1:])):
-        est = evaluate(
-            spec, f, float(t), x, scheme.paths_per_node, seed,
-            path_offset=j * scheme.paths_per_node, threads=threads,
-        )
-        total += coeff * est.mean
-        var += (coeff * est.stderr) ** 2
-        n_paths += est.n_paths
-    return MCEstimate(total, math.sqrt(var), n_paths, int(seed), "elliptic")
+    ts, ws = _resolvent_nodes(lam, scheme)
+    return _node_sum(spec, [f] * len(ts), ts, ws, x, scheme.paths_per_node, seed, threads,
+                     "elliptic")
 
 
 def solve_parabolic(
@@ -304,29 +311,17 @@ def solve_parabolic(
     semigroup times are floored at the minimum scale: on (t - t_min, t]
     the integrand is approximated by H(t, x).
     """
-    x = np.asarray(x, dtype=float)
     if t <= scheme.t_min:
         raise ValueError(f"t must exceed the minimum scale {scheme.t_min:g}")
-    est = evaluate(spec, g, t, x, scheme.paths_per_node, seed, threads=threads)
-    total = est.mean
-    var = est.stderr**2
-    n_paths = est.n_paths
+    fields, ts, ws = [g], [t], [1.0]
     if H is not None:
         xg, wg = np.polynomial.legendre.leggauss(scheme.nodes_per_panel * 2)
         half = 0.5 * (t - scheme.t_min)
         ss = half * (xg + 1.0)
-        ws = half * wg
-        for j, (s, w) in enumerate(zip(ss, ws)):
-            field = H(float(s))
-            inner = evaluate(
-                spec, field, float(t - s), x, scheme.paths_per_node, seed,
-                path_offset=(j + 1) * scheme.paths_per_node, threads=threads,
-            )
-            total += w * inner.mean
-            var += (w * inner.stderr) ** 2
-            n_paths += inner.n_paths
-        total += float(H(t)(x[None, :])[0]) * scheme.t_min
-    return MCEstimate(total, math.sqrt(var), n_paths, int(seed), "parabolic")
+        fields += [H(float(s)) for s in ss] + [H(t)]
+        ts += [*(t - ss), 0.0]
+        ws += [*(half * wg), scheme.t_min]
+    return _node_sum(spec, fields, ts, ws, x, scheme.paths_per_node, seed, threads, "parabolic")
 
 
 # --- closed-form oracles for the zero-drift case ----------------------------

@@ -99,11 +99,14 @@ def test_bad_seed_and_budget_exit_code(tmp_path, capsys, command, extra, flags):
     ("evaluate", {"field": {"type": "const", "value": None}}),
     ("evaluate", {"field": {"type": "cos", "w": [1.0, INF]}}),
     ("solve", {"fields": 5}),
+    ("gramian", {"operator": dict(OP_2D, Q0=[["1.0"]])}),
+    ("gramian", {"operator": dict(OP_2D, A=[[False, "0"], ["1", True]])}),
+    ("gramian", {"operator": dict(OP_2D, A=[[0.0, 0.0], 1.0])}),
 ], ids=["steps-0", "steps-0-dump-paths", "t-nan", "t-negative", "t-grid-negative", "t-bool",
         "x-wrong-length", "lambda-negative", "tol-negative", "threads-0", "theta-unknown",
         "gamma-unknown", "parabolic-t-below-tmin", "drift-b-null", "drift-i-fraction",
         "drift-a-nan", "drift-not-array", "A-nan", "A-inf", "Q0-inf", "field-value-null",
-        "field-w-inf", "fields-not-array"])
+        "field-w-inf", "fields-not-array", "Q0-string", "A-bool", "A-row-not-array"])
 def test_bad_config_value_exit_code(tmp_path, capsys, command, extra):
     doc = {"operator": OP_2D, "t": 0.5, "field": {"type": "const", "value": 1.0}, **extra}
     cfg = write_cfg(tmp_path, doc)
@@ -148,6 +151,18 @@ def test_gramian_out_of_float_range_is_numeric_failure(tmp_path, capsys, t):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numeric failure:")
     assert not (tmp_path / "gramian.csv").exists()
+
+
+def test_evaluate_out_of_memory_is_numeric_failure(tmp_path, capsys):
+    """10**15 steps of 2 paths would need 28.4 PiB of increments: the
+    allocation fails at once, and the run ends with rc 3 and one line
+    instead of a MemoryError traceback."""
+    doc = {"operator": OP_NL, "t": 0.5, "x": [0.2, -0.1], "seed": 7, "budget": 2,
+           "steps": 10**15, "field": {"type": "cos", "w": [1.0, 0.5]}}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure:")
 
 
 def test_gramian_closed_form(tmp_path):

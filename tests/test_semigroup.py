@@ -183,6 +183,33 @@ def test_parabolic_matches_cosine_oracle_without_source():
     assert abs(v.mean - oracle) < 4.0 * v.stderr
 
 
+def test_solvers_take_one_path_block_per_node(monkeypatch):
+    """Both solvers sum their nodes through one loop: the t == 0 node is
+    exact and costs no evaluate call, every other node reads the next block
+    of paths_per_node paths, and the parabolic P_t g node comes first."""
+    calls = []
+
+    def recorded(spec, f, t, x, budget, seed, path_offset=0, threads=1):
+        calls.append((t, path_offset))
+        return semigroup.MCEstimate(1.0, 0.0, budget, seed, "direct")
+
+    monkeypatch.setattr(semigroup, "evaluate", recorded)
+    p = 7
+    scheme = QuadratureScheme.build(1.0, 1.0, tol=1e-2, paths_per_node=p)
+    u = solve_elliptic(SPEC_NL, COS, 1.0, X0, scheme, 3)
+    assert [off for _, off in calls] == [j * p for j in range(len(scheme.nodes()[0]))]
+    assert all(t > 0.0 for t, _ in calls)
+    assert u.n_paths == len(calls) * p
+    calls.clear()
+    t = 0.5
+    one = ScalarField.constant(1.0, 2)
+    v = solve_parabolic(SPEC_NL, COS, lambda s: one, t, X0, scheme, 3)
+    assert calls[0] == (t, 0)
+    assert [off for _, off in calls] == [j * p for j in range(2 * scheme.nodes_per_panel + 1)]
+    assert all(t > 0.0 for t, _ in calls)
+    assert v.n_paths == len(calls) * p
+
+
 def test_oracles_require_zero_drift():
     with pytest.raises(ValueError):
         ou_cosine_expectation(SPEC_NL, COS.waves[0], 0.5, X0)

@@ -145,6 +145,10 @@ def test_parabolic_schauder_ratio():
     rep = check_parabolic_schauder_ratio(SPEC_2D, SPEC_2D.decomposition(), family,
                                          0.5, (0.5, 1.0), budget=800, seed=6)
     assert rep.passed
+    base, doubled = rep.provenance["ratios_base"], rep.provenance["ratios_doubled"]
+    assert len(base) == len(doubled) == len(family)
+    r1, r2 = max(base), max(doubled)
+    assert rep.measured == max(r1 / r2, r2 / r1)
     with pytest.raises(ValueError):
         check_parabolic_schauder_ratio(SPEC_NL, SPEC_NL.decomposition(), family,
                                        0.5, (0.5,), budget=10, seed=0)
