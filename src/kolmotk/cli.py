@@ -19,7 +19,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .errors import ConfigError, KolmotkError, NotHypoelliptic
 from .gramian import gramian
-from .semigroup import QuadratureScheme, evaluate, solve_elliptic, solve_parabolic
+from .semigroup import QuadratureScheme, default_steps, evaluate, solve_elliptic, solve_parabolic
 from .simulate import PathGrid, simulate_bundle, write_path_csv
 from .verify import check_exponential_blocks, check_flow_moments, check_gramian_scaling
 
@@ -109,7 +109,7 @@ def cmd_evaluate(cfg: RunConfig, args):
     print(f"wrote {path}")
     dump = cfg.param("dump_paths", 0)
     if dump:
-        grid = PathGrid(float(ts[0]), cfg.param("steps") or 32)
+        grid = PathGrid(float(ts[0]), cfg.param("steps") or default_steps(float(ts[0])))
         bundles = [simulate_bundle(spec, x, grid, seed, path_id=i) for i in range(dump)]
         ppath = out / "paths.csv"
         with open(ppath, "w", encoding="utf-8", newline="\n") as fh:
@@ -178,7 +178,9 @@ def cmd_verify(cfg: RunConfig, args):
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: measured={r.measured:.4g}")
     print(f"wrote {path} and {pts_path}")
-    return 0 if n_fail == 0 else 3
+    if n_fail:
+        raise KolmotkError(f"{n_fail} of {len(reports)} checks failed")
+    return 0
 
 
 _COMMANDS = {

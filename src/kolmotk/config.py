@@ -183,11 +183,12 @@ def parse_config(doc) -> RunConfig:
             if not (isinstance(v, (list, tuple)) and v and all(map(_is_number, v))):
                 raise ConfigError(f"'{key}' must be a non-empty flat array of finite numbers")
             params[key] = [float(e) for e in v]
-    for key in ("t", "lambda", "tol"):
+    for key in ("t", "lambda", "q", "tol"):
         if params.get(key, 1) <= 0:
             raise ConfigError(f"'{key}' must be positive")
-    if min(params.get("t_grid", [1])) <= 0:
-        raise ConfigError("every 't_grid' entry must be positive")
+    for key in ("t_grid", "s_grid"):
+        if min(params.get(key, [1])) <= 0:
+            raise ConfigError(f"every '{key}' entry must be positive")
     if len(params.get("x", [0] * operator.n)) != operator.n:
         raise ConfigError(f"'x' must have length {operator.n}")
     if "method" in params and params["method"] not in ("direct", "girsanov"):

@@ -9,8 +9,8 @@ where Q embeds the positive definite block Q0 in the first ``p_tilde``
 coordinates and F pushes only into those coordinates.  The nonlinear drift
 is restricted to sums of tanh ridge functions, which keeps all derivatives
 bounded by construction.  ``DriftField`` stacks its terms into three arrays
-once, so F, DF and the tangent rows DF v are each one matrix product
-over any batch of points.
+once, so F and the tangent rows DF v are each one matrix product over any
+batch of points; ``DriftField.tangent`` is the one place that forms DF.
 """
 
 from __future__ import annotations
@@ -110,14 +110,6 @@ class DriftField:
         aV = (V @ self._a).reshape(len(x), -1, len(self._b)) * s[:, None, :]
         return th @ self._c, aV.reshape(len(V), -1) @ self._c
 
-    def jacobian(self, x):
-        """DF(x)[i, j] = sum_t c[t, i] (1 - tanh^2) a[j, t], over leading axes."""
-        x = np.asarray(x, dtype=float)
-        if self.is_zero:
-            return np.zeros(x.shape + x.shape[-1:])
-        s = 1.0 - np.tanh(x @ self._a + self._b) ** 2
-        return (self._c.T * s[..., None, :]) @ self._a.T
-
     def __call__(self, x):
         return self.value(x)
 
@@ -200,14 +192,6 @@ class OperatorSpec:
             return _frozen(vecs @ np.diag(vals**-0.5) @ vecs.T)
 
         return self._cached("Q0_inv_sqrt", build)
-
-    def drift(self, x):
-        """Full drift A x + F(x), vectorized over leading axes."""
-        x = np.asarray(x, dtype=float)
-        out = x @ self.A.T
-        if not self.F.is_zero:
-            out = out + self.F.value(x)
-        return out
 
     def girsanov_noise(self, x):
         """G(x) = Q^{-1/2} F(x), the drift in noise units, on the p_tilde coordinates F reaches."""

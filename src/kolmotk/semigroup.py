@@ -163,6 +163,8 @@ def derivative_estimate(
     variation flow is e^{tA}, and ``steps`` is ignored.
     """
     multi_index = tuple(int(i) for i in multi_index)
+    if budget < 2:
+        raise ValueError("budget >= 2")
     if not (1 <= len(multi_index) <= 3):
         raise ValueError("multi-index order must be 1..3")
     if t < TMIN:

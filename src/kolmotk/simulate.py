@@ -1,5 +1,5 @@
 """Path generation: exact linear sampling, exponential-Euler integration,
-deterministic and variational flows, and Girsanov log-weights.
+the deterministic drift flow, variation flows and Girsanov log-weights.
 
 Noise discipline: every path owns a Philox counter-based stream keyed by
 (seed, path_id), and the Brownian increments are drawn first.  Two
@@ -10,9 +10,10 @@ the derivative of the X it returns), ``girsanov_endpoints`` the linear
 reference path Z and its Girsanov log-weight.  With F == 0 the two paths
 are the same arithmetic, so X == Z is exact rather than statistical, and
 results are bit-identical no matter how paths are chunked across threads.
-Each stepper is one private generator of its states; the endpoints are its
-last state and ``simulate_bundle`` stacks every state of one path, so a
-dumped path is the arithmetic the estimators run.
+Each stepper is one private generator of its states that steps the noise
+blocks it is handed; the endpoints are its last state, ``simulate_bundle``
+stacks every state of one path, so a dumped path is the arithmetic the
+estimators run, and ``deterministic_flow`` is the X stepper fed zero noise.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .operators import OperatorSpec, matrix_exp
 __all__ = [
     "PathGrid",
     "PathBundle",
-    "FlowState",
     "path_rng",
     "sample_ou_endpoints",
     "simulate_bundle",
@@ -71,12 +71,6 @@ class PathBundle:
     path_id: int
 
 
-@dataclass(frozen=True)
-class FlowState:
-    Y: np.ndarray
-    eta1: np.ndarray  # (n, n), columns are the first variations
-
-
 def path_rng(seed: int, path_id: int) -> np.random.Generator:
     """Counter-based stream for one path; disjoint across path ids."""
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(path_id)))
@@ -115,9 +109,12 @@ def sample_ou_endpoints(spec: OperatorSpec, x, t: float, size: int, rng: np.rand
 # --- exponential Euler ------------------------------------------------------
 
 
-def _step_matrices(spec: OperatorSpec, dt: float):
+def _stepping(spec: OperatorSpec, t, steps, seed, ids):
+    """What a stepper is handed for these paths: dt, e^{dtA} and their
+    noise blocks."""
+    dt = t / steps
     eAdt = matrix_exp(spec.A, dt)
-    return eAdt, eAdt @ spec.Q_sqrt
+    return dt, eAdt, _noise_blocks(eAdt @ spec.Q_sqrt, dt, steps, seed, ids)
 
 
 def _noise_blocks(eAS, dt, steps, seed, ids):
@@ -134,23 +131,22 @@ def _noise_blocks(eAS, dt, steps, seed, ids):
         yield dw, np.matmul(dw, eAS.T, out=noise[:len(dw)])
 
 
-def _x_steps(spec, x0s, t, steps, seed, ids, with_variation):
-    """X (m c, n) after every step X' = e^{dtA}(X + dt F(X)) + noise, and the
-    tangent rows V = eta^T (m c n, n) of its exact derivative
-    eta' = e^{dtA}(I + dt DF(X)) eta if asked (else None), one matmul each."""
-    dt = t / steps
-    eAdt, eAS = _step_matrices(spec, dt)
-    F, m, c, n = spec.F, len(x0s), len(ids), spec.n
-    X = np.repeat(x0s, c, axis=0)
-    V = np.tile(np.eye(n), (m * c, 1)) if with_variation else None
-    for _, noise in _noise_blocks(eAS, dt, steps, seed, ids):
+def _x_steps(spec, X, dt, eAdt, blocks, with_variation):
+    """X (m c, n) after every step X' = e^{dtA}(X + dt F(X)) + noise, from the
+    starts X (each repeated once per path), and the tangent rows V = eta^T
+    (m c n, n) of its exact derivative eta' = e^{dtA}(I + dt DF(X)) eta if
+    asked (else None), one matmul each.  ``blocks`` yields (dW, noise) per
+    block of steps as ``_noise_blocks`` does, noise (b, c, n) for c paths."""
+    F, n = spec.F, spec.n
+    V = np.tile(np.eye(n), (len(X), 1)) if with_variation else None
+    for _, noise in blocks:
         for dx in noise:
             if not F.is_zero:
                 FX, DFV = F.tangent(X, V)
                 X = X + FX * dt
                 if with_variation:
                     V = V + DFV * dt
-            X = ((X @ eAdt.T).reshape(m, c, n) + dx).reshape(m * c, n)
+            X = ((X @ eAdt.T).reshape(-1, len(dx), n) + dx).reshape(X.shape)
             if with_variation:
                 V = V @ eAdt.T
             yield X, V
@@ -158,20 +154,18 @@ def _x_steps(spec, x0s, t, steps, seed, ids, with_variation):
 
 def _x_chunk(spec, x0s, t, steps, seed, ids, with_variation):
     """X (m, c, n) at t for every start in x0s and, if asked, eta (m, c, n, n)."""
-    for X, V in _x_steps(spec, x0s, t, steps, seed, ids, with_variation):
+    X0 = np.repeat(x0s, len(ids), axis=0)
+    for X, V in _x_steps(spec, X0, *_stepping(spec, t, steps, seed, ids), with_variation):
         pass
     X = X.reshape(len(x0s), len(ids), spec.n)
     return (X, V.reshape(X.shape + (spec.n,)).swapaxes(2, 3)) if with_variation else (X,)
 
 
-def _z_blocks(spec, x0s, t, steps, seed, ids):
+def _z_blocks(spec, Z, dt, eAdt, blocks):
     """Per block of steps: the left points Zs (b, m, c, n) of Z' = e^{dtA} Z +
-    noise, G(Zs) and dW on the first p_tilde coordinates (the only ones G
-    reaches), and Z after the block."""
-    dt = t / steps
-    eAdt, eAS = _step_matrices(spec, dt)
-    Z = np.broadcast_to(x0s[:, None, :], (len(x0s), len(ids), spec.n)).copy()
-    for dw, noise in _noise_blocks(eAS, dt, steps, seed, ids):
+    noise from the starts Z (m, c, n), G(Zs) and dW on the first p_tilde
+    coordinates (the only ones G reaches), and Z after the block."""
+    for dw, noise in blocks:
         Zs = np.empty((len(noise),) + Z.shape)
         for k, dz in enumerate(noise):
             Zs[k] = Z
@@ -187,7 +181,8 @@ def _log_weight(G, dw, dt):
 def _z_chunk(spec, x0s, t, steps, seed, ids):
     """Z (m, c, n) at t and log_phi (m, c)."""
     logphi = np.zeros((len(x0s), len(ids)))
-    for Zs, G, dw, Z in _z_blocks(spec, x0s, t, steps, seed, ids):
+    Z0 = np.repeat(x0s[:, None, :], len(ids), axis=1)
+    for Zs, G, dw, Z in _z_blocks(spec, Z0, *_stepping(spec, t, steps, seed, ids)):
         logphi += _log_weight(G, dw, t / steps)
         del Zs  # free this block's points before the next block allocates its own
     return Z, logphi
@@ -261,42 +256,26 @@ def simulate_bundle(spec: OperatorSpec, x, grid: PathGrid, seed: int, path_id: i
     """Full record of one path: Z, X and the running log-weight after every
     step, stacked from what the endpoint steppers yield for that path."""
     x0 = np.asarray(x, dtype=float)
-    args = (spec, x0[None], grid.t_end, grid.steps, seed, [int(path_id)])
-    X = np.stack([x0] + [Xk[0] for Xk, _ in _x_steps(*args, False)])
+    args = (spec, grid.t_end, grid.steps, seed, [int(path_id)])
+    X = np.stack([x0] + [Xk[0] for Xk, _ in _x_steps(spec, x0[None], *_stepping(*args), False)])
     Z, dlog = [], [0.0]
-    for Zs, G, dw, Zk in _z_blocks(*args):
+    for Zs, G, dw, Zk in _z_blocks(spec, x0[None, None], *_stepping(*args)):
         Z.append(Zs[:, 0, 0])
         dlog += [_log_weight(G[k:k + 1], dw[k:k + 1], grid.dt)[0, 0] for k in range(len(G))]
     return PathBundle(grid, np.concatenate(Z + [Zk[0]]), X, np.cumsum(dlog), int(path_id))
 
 
-# --- deterministic and variational flows ------------------------------------
-
-
-def deterministic_flow(spec: OperatorSpec, x, t: float, steps: int) -> FlowState:
-    """Classical RK4 integration of the drift flow and its first variation."""
+def deterministic_flow(spec: OperatorSpec, x, t: float, steps: int) -> np.ndarray:
+    """The noiseless drift flow Y_t (n,) from x: the X stepper on one path
+    fed zero noise, Y' = e^{dtA}(Y + dt F(Y))."""
     if steps < 1:
         raise ValueError("steps >= 1")
-    h = t / steps
-    state = (np.asarray(x, dtype=float).copy(), np.eye(spec.n))
-
-    def rhs(s):
-        Y, M = s
-        return spec.drift(Y), (spec.A + spec.F.jacobian(Y)) @ M
-
-    def add(s, k, fac):
-        return tuple(a + fac * b for a, b in zip(s, k))
-
-    for _ in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(add(state, k1, h / 2))
-        k3 = rhs(add(state, k2, h / 2))
-        k4 = rhs(add(state, k3, h))
-        state = tuple(
-            a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)
-        )
-    return FlowState(*state)
+    dt = t / steps
+    zero = np.broadcast_to(0.0, (steps, 1, spec.n))
+    for Y, _ in _x_steps(spec, np.asarray(x, dtype=float)[None], dt, matrix_exp(spec.A, dt),
+                         [(None, zero)], False):
+        pass
+    return Y[0]
 
 
 def write_path_csv(bundles, fileobj):

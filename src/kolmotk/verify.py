@@ -168,8 +168,10 @@ def check_flow_moments(
     tol: float = MC_SLOPE_TOL,
     threads: int = 1,
 ) -> list:
-    """Monte Carlo moments of the quasi-distance between the path and the
-    deterministic flow: full norm slope q/2, block slopes q(2h+1)/2."""
+    """Monte Carlo moments of the quasi-distance between the path X and the
+    deterministic flow Y, stepped on the same grid by the same
+    exponential-Euler step with zero noise: full norm slope q/2, block
+    slopes q(2h+1)/2."""
     t_grid = np.asarray(t_grid, dtype=float)
     x = np.zeros(spec.n) if x is None else np.asarray(x, dtype=float)
     full_pts = []
@@ -177,7 +179,7 @@ def check_flow_moments(
     for t in t_grid:
         steps = default_steps(t)
         X = simulate_endpoints(spec, x, float(t), steps, seed, n_paths, threads=threads)
-        Y = deterministic_flow(spec, x, float(t), steps).Y
+        Y = deterministic_flow(spec, x, float(t), steps)
         diff = X[0] - Y
         full_pts.append((t, float(np.mean(dec.quasi_norm(diff) ** q))))
         comps = dec.block_components(diff)
@@ -205,11 +207,21 @@ def check_flow_moments(
 
 def _stability_report(name, ratio, n_fields, budget, seed, **provenance):
     """Budget-doubling stability of the worst sampled ratio over a family:
-    ``ratio(j, b)`` is field j's ratio at Hoelder budget b, the worst is
-    taken at ``budget`` and at twice it, and the check passes when the two
-    differ by a factor below 2."""
-    base, doubled = ([ratio(j, b) for j in range(n_fields)] for b in (budget, 2 * budget))
-    r1, r2 = max([0.0, *base]), max([0.0, *doubled])
+    ``ratio(j, b)`` is field j's ratio at Hoelder budget b as a pair
+    (numerator, denominator), the worst is taken at ``budget`` and at twice
+    it, and the check passes when the two differ by a factor below 2.  An
+    empty family, or a field whose denominator norm is zero, has no ratio."""
+    if n_fields < 1:
+        raise ValueError("a Schauder ratio needs a non-empty family of fields")
+
+    def ratios(b):
+        pairs = [ratio(j, b) for j in range(n_fields)]
+        if any(den <= 0.0 for _, den in pairs):
+            raise ValueError("a field of zero Hoelder norm has no Schauder ratio")
+        return [num / den for num, den in pairs]
+
+    base, doubled = ratios(budget), ratios(2 * budget)
+    r1, r2 = max(base), max(doubled)
     factor = max(r1 / r2, r2 / r1)
     return CheckReport(
         name=name,
@@ -260,12 +272,12 @@ def check_schauder_ratio(
     """
     if scheme is None:
         sups = [1.0 if f.coeffs is None else np.abs(f.coeffs).sum() for f in family]
-        scheme = QuadratureScheme.build(lam, max(1.0, *sups))
+        scheme = QuadratureScheme.build(lam, max([1.0, *sups]))
     resolvents = [_resolvent_field(spec, f, lam, scheme, seed, threads=threads) for f in family]
 
     def ratio(j, b):
-        num = holder_norm(resolvents[j], 2.0 + theta, dec, b, seed)
-        return num / holder_norm(family[j], theta, dec, b, seed)
+        return (holder_norm(resolvents[j], 2.0 + theta, dec, b, seed),
+                holder_norm(family[j], theta, dec, b, seed))
 
     return _stability_report(f"schauder-ratio theta={theta:g} lam={lam:g}", ratio,
                              len(family), budget, seed)
@@ -299,7 +311,7 @@ def check_parabolic_schauder_ratio(
     def ratio(j, b):
         f = family[j]
         den = holder_norm(f, 2.0 + theta, dec, b, seed) + holder_norm(f, theta, dec, b, seed)
-        return max(holder_norm(v, 2.0 + theta, dec, b, seed) for v in cauchy[j]) / den
+        return max(holder_norm(v, 2.0 + theta, dec, b, seed) for v in cauchy[j]), den
 
     return _stability_report(f"parabolic-schauder-ratio theta={theta:g}", ratio, len(family),
                              budget, seed, t_grid=list(map(float, t_grid)))

@@ -102,11 +102,16 @@ def test_bad_seed_and_budget_exit_code(tmp_path, capsys, command, extra, flags):
     ("gramian", {"operator": dict(OP_2D, Q0=[["1.0"]])}),
     ("gramian", {"operator": dict(OP_2D, A=[[False, "0"], ["1", True]])}),
     ("gramian", {"operator": dict(OP_2D, A=[[0.0, 0.0], 1.0])}),
+    ("verify", {"s_grid": [0, 0.01, 0.1]}),
+    ("verify", {"s_grid": [-1, 0.01, 0.1]}),
+    ("verify", {"q": 0}),
+    ("verify", {"q": -1, "n_paths": 100}),
 ], ids=["steps-0", "steps-0-dump-paths", "t-nan", "t-negative", "t-grid-negative", "t-bool",
         "x-wrong-length", "lambda-negative", "tol-negative", "threads-0", "theta-unknown",
         "gamma-unknown", "parabolic-t-below-tmin", "drift-b-null", "drift-i-fraction",
         "drift-a-nan", "drift-not-array", "A-nan", "A-inf", "Q0-inf", "field-value-null",
-        "field-w-inf", "fields-not-array", "Q0-string", "A-bool", "A-row-not-array"])
+        "field-w-inf", "fields-not-array", "Q0-string", "A-bool", "A-row-not-array",
+        "s-grid-zero", "s-grid-negative", "q-zero", "q-negative"])
 def test_bad_config_value_exit_code(tmp_path, capsys, command, extra):
     doc = {"operator": OP_2D, "t": 0.5, "field": {"type": "const", "value": 1.0}, **extra}
     cfg = write_cfg(tmp_path, doc)
@@ -220,6 +225,16 @@ def test_evaluate_dump_paths(tmp_path):
     assert len(lines) == 1 + 2 * 5  # two paths, five grid times each
 
 
+def test_evaluate_dump_paths_on_estimator_grid(tmp_path):
+    """Without 'steps' the dump steps default_steps(t), as evaluate does."""
+    doc = {"operator": OP_NL, "t": 0.2, "budget": 10, "seed": 1,
+           "dump_paths": 2, "field": {"type": "const", "value": 1.0}}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "paths.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * (semigroup.default_steps(0.2) + 1)
+
+
 def test_solve_elliptic_constant(tmp_path):
     doc = {"operator": OP_2D, "lambda": 1.0, "seed": 2, "paths_per_node": 50,
            "field": {"type": "const", "value": 1.0}}
@@ -264,6 +279,18 @@ def test_verify_command(tmp_path, capsys):
     pts = (tmp_path / "verify_points.csv").read_text().splitlines()
     assert pts[0] == "name,t,value,seed"
     assert len(pts) > 10
+
+
+def test_verify_failed_checks_are_numeric_failure(tmp_path, capsys):
+    """Long horizons leave the small-time scaling regime: the fits fail,
+    the reports are still written, and stderr names the failures."""
+    cfg = write_cfg(tmp_path, {"operator": OP_2D, "t_grid": [1.0, 2.0, 4.0]})
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    n_fail = captured.out.count("FAIL ")
+    assert n_fail > 0
+    assert captured.err.splitlines() == [f"numeric failure: {n_fail} of 6 checks failed"]
+    assert (tmp_path / "verify.csv").exists()
 
 
 def test_json_format(tmp_path):

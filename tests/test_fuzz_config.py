@@ -1,7 +1,9 @@
 """Fuzzed front door: mutated README configs either parse or fail with a
-ConfigError, and the non-simulating commands (analyze, gramian) end with
-an exit code in {0, 2, 3} and no traceback.  Examples are derandomized so
-that a run is reproducible, and no command simulates a path."""
+ConfigError, and analyze, gramian and verify end with an exit code in
+{0, 2, 3}, no traceback and, on a non-zero exit, one stderr line.
+Examples are derandomized so that a run is reproducible.  The mutations
+never add 'n_paths', so verify runs only its deterministic checks and no
+command simulates a path."""
 
 import contextlib
 import copy
@@ -94,7 +96,7 @@ def test_parse_config_accepts_or_raises_config_error(doc):
 
 
 @FUZZ
-@given(mutated_configs(), st.sampled_from(["analyze", "gramian"]))
+@given(mutated_configs(), st.sampled_from(["analyze", "gramian", "verify"]))
 def test_cli_exit_code_contract(doc, command):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as d:

@@ -57,11 +57,11 @@ def test_drift_derivatives_match_finite_differences():
     x = rng.normal(size=2)
     eps = 1e-6
 
-    jac_fd = np.stack([
-        (F.value(x + eps * e) - F.value(x - eps * e)) / (2 * eps)
-        for e in np.eye(2)
-    ], axis=1)
-    assert np.allclose(F.jacobian(x), jac_fd, atol=1e-8)
+    V = rng.normal(size=(3, 2))  # three tangent directions at one point
+    dfv_fd = np.stack([(F.value(x + eps * v) - F.value(x - eps * v)) / (2 * eps) for v in V])
+    FX, DFV = F.tangent(x[None], V)
+    assert np.allclose(FX[0], F.value(x), rtol=0.0, atol=1e-15)
+    assert np.allclose(DFV, dfv_fd, atol=1e-8)
 
 
 def test_drift_vectorized_evaluation():
@@ -70,15 +70,20 @@ def test_drift_vectorized_evaluation():
     V = F.value(X)
     assert V.shape == X.shape
     assert np.allclose(V[2, 1], F.value(X[2, 1]))
-    J = F.jacobian(X)
-    assert J.shape == (7, 3, 2, 2)
-    assert np.allclose(J[4, 0], F.jacobian(X[4, 0]))
+    # tangent takes points (N, n) and k = 3 tangent rows per point (N k, n)
+    x, T = X.reshape(21, 2), np.random.default_rng(2).normal(size=(63, 2))
+    FX, DFV = F.tangent(x, T)
+    assert FX.shape == (21, 2) and DFV.shape == (63, 2)
+    F4, DFV4 = F.tangent(x[4:5], T[12:15])
+    assert np.allclose(FX[4], F4[0]) and np.allclose(DFV[12:15], DFV4)
+    assert F.tangent(x, None)[1] is None
 
 
 @pytest.mark.parametrize("shape", [(4, 5, 3), (2, 4, 5, 3)], ids=["m-c-n", "K-m-c-n"])
 def test_stacked_drift_equals_per_term_sum(shape):
-    """F and DF as one product each equal the sum over terms, with two
-    terms on one coordinate; summation order moves only the last bits."""
+    """F and the tangent rows DF v as one product each equal the sum over
+    terms, with two terms on one coordinate; summation order moves only the
+    last bits."""
     terms = [DriftTerm(1, 0.8, [1.0, 0.5, -0.2], 0.1),
              DriftTerm(1, -0.3, [0.2, -1.0, 0.4], -0.4),
              DriftTerm(2, 0.5, [0.3, 0.3, 1.0])]
@@ -90,7 +95,12 @@ def test_stacked_drift_equals_per_term_sum(shape):
         value[..., t.i - 1] += t.c * z
         jac[..., t.i - 1, :] += (t.c * (1.0 - z**2))[..., None] * t.a
     assert np.allclose(F.value(X), value, rtol=0.0, atol=1e-15)
-    assert np.allclose(F.jacobian(X), jac, rtol=0.0, atol=1e-15)
+    # the tangent rows e_1, e_2, e_3 at each point give the columns of DF
+    x = X.reshape(-1, 3)
+    FX, DFV = F.tangent(x, np.tile(np.eye(3), (len(x), 1)))
+    assert np.allclose(FX, value.reshape(-1, 3), rtol=0.0, atol=1e-15)
+    assert np.allclose(DFV.reshape(-1, 3, 3), jac.reshape(-1, 3, 3).swapaxes(1, 2),
+                       rtol=0.0, atol=1e-15)
 
 
 def test_girsanov_field_is_whitened_drift():

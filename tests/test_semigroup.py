@@ -134,6 +134,9 @@ def test_derivative_validation():
         derivative_estimate(SPEC_OU, COS, 0.3, X0, (1, 2), 100, 0, method="pathwise")
     with pytest.raises(ValueError, match="unknown method 'pathwse'"):
         derivative_estimate(SPEC_OU, COS, 0.3, X0, (1,), 100, 0, method="pathwse")
+    for method in ("fd", "pathwise"):  # one path has no stderr, as in evaluate
+        with pytest.raises(ValueError, match="budget >= 2"):
+            derivative_estimate(SPEC_OU, COS, 0.3, X0, (1,), 1, 0, method=method)
 
 
 def test_quadrature_scheme_build():

@@ -183,6 +183,16 @@ def test_schauder_ratio_constant_field_is_exact_under_drift():
     assert rep.provenance["ratios_base"] == [1.0 / lam]
 
 
+@pytest.mark.parametrize("family", [[], [ScalarField.constant(0.0, 2)]], ids=["empty", "zero"])
+def test_schauder_ratio_needs_fields_of_positive_norm(family):
+    """An empty family has no worst ratio and a zero field has none at all."""
+    dec = SPEC_2D.decomposition()
+    with pytest.raises(ValueError, match="Schauder ratio"):
+        check_schauder_ratio(SPEC_2D, dec, family, 0.5, 1.0, budget=50, seed=4)
+    with pytest.raises(ValueError, match="Schauder ratio"):
+        check_parabolic_schauder_ratio(SPEC_2D, dec, family, 0.5, (0.5,), budget=50, seed=4)
+
+
 def test_reports_are_reproducible():
     reports1 = check_flow_moments(SPEC_NL, SPEC_NL.decomposition(), 2.0,
                                   np.geomspace(1e-2, 1e-1, 4), 2000, 13)
