@@ -38,7 +38,6 @@ from .kalman import (
     Block,
     KalmanDecomposition,
     decompose,
-    kalman_index,
 )
 from .operators import DriftField, DriftTerm, OperatorSpec, matrix_exp
 from .semigroup import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,14 +76,13 @@ def cmd_analyze(cfg: RunConfig, args):
 def cmd_gramian(cfg: RunConfig, args):
     spec = cfg.operator
     ts = cfg.param("t_grid") or [cfg.require("t")]
-    seed = args.seed if args.seed is not None else cfg.param("seed", 0)
     header = ("t",) + tuple(
         f"Q_{i + 1}_{j + 1}" for i in range(spec.n) for j in range(spec.n)
     ) + ("min_eig_scaled", "seed")
     rows = []
     for t in ts:
         g = gramian(spec, float(t))
-        rows.append((float(t), *g.matrix.ravel().tolist(), g.min_eig_pre_clamp, seed))
+        rows.append((float(t), *g.matrix.ravel().tolist(), g.min_eig_pre_clamp, args.seed))
     path = _write_rows(_out_dir(args) / "gramian", header, rows, args.format)
     print(f"wrote {path}")
     return 0
@@ -93,7 +93,6 @@ def cmd_evaluate(cfg: RunConfig, args):
     f = cfg.require("field")
     ts = cfg.param("t_grid") or [cfg.require("t")]
     x = np.array(cfg.param("x", [0.0] * spec.n), dtype=float)
-    seed = args.seed if args.seed is not None else cfg.param("seed", 0)
     budget = args.budget if args.budget is not None else cfg.param("budget", 1000)
     method = cfg.param("method", "direct")
     out = _out_dir(args)
@@ -101,7 +100,7 @@ def cmd_evaluate(cfg: RunConfig, args):
     rows = []
     for t in ts:
         est = evaluate(
-            spec, f, float(t), x, budget, seed,
+            spec, f, float(t), x, budget, args.seed,
             method=method, steps=cfg.param("steps"), threads=args.threads,
         )
         rows.append((float(t), est.method, est.mean, est.stderr, est.n_paths, est.seed))
@@ -110,7 +109,7 @@ def cmd_evaluate(cfg: RunConfig, args):
     dump = cfg.param("dump_paths", 0)
     if dump:
         grid = PathGrid(float(ts[0]), cfg.param("steps") or default_steps(float(ts[0])))
-        bundles = [simulate_bundle(spec, x, grid, seed, path_id=i) for i in range(dump)]
+        bundles = [simulate_bundle(spec, x, grid, args.seed, path_id=i) for i in range(dump)]
         ppath = out / "paths.csv"
         with open(ppath, "w", encoding="utf-8", newline="\n") as fh:
             write_path_csv(bundles, fh)
@@ -121,7 +120,6 @@ def cmd_evaluate(cfg: RunConfig, args):
 def cmd_solve(cfg: RunConfig, args):
     spec = cfg.operator
     x = np.array(cfg.param("x", [0.0] * spec.n), dtype=float)
-    seed = args.seed if args.seed is not None else cfg.param("seed", 0)
     paths = args.budget if args.budget is not None else cfg.param("paths_per_node", 1000)
     header = ("kind", "parameter", "mean", "stderr", "n_paths", "seed")
     if "lambda" in cfg.params:
@@ -131,7 +129,7 @@ def cmd_solve(cfg: RunConfig, args):
         scheme = QuadratureScheme.build(
             lam, max(1.0, f_sup), tol=cfg.param("tol", 1e-4), paths_per_node=paths
         )
-        est = solve_elliptic(spec, f, lam, x, scheme, seed, threads=args.threads)
+        est = solve_elliptic(spec, f, lam, x, scheme, args.seed, threads=args.threads)
         rows = [("elliptic", lam, est.mean, est.stderr, est.n_paths, est.seed)]
     else:
         fields = cfg.require("fields")
@@ -140,7 +138,7 @@ def cmd_solve(cfg: RunConfig, args):
         g, Hf = fields
         t = float(cfg.require("t"))
         scheme = QuadratureScheme.build(1.0, 1.0, paths_per_node=paths)
-        est = solve_parabolic(spec, g, lambda s: Hf, t, x, scheme, seed, threads=args.threads)
+        est = solve_parabolic(spec, g, lambda s: Hf, t, x, scheme, args.seed, threads=args.threads)
         rows = [("parabolic", t, est.mean, est.stderr, est.n_paths, est.seed)]
     path = _write_rows(_out_dir(args) / "solve", header, rows, args.format)
     print(f"wrote {path}")
@@ -150,7 +148,6 @@ def cmd_solve(cfg: RunConfig, args):
 def cmd_verify(cfg: RunConfig, args):
     spec = cfg.operator
     dec = spec.decomposition()
-    seed = args.seed if args.seed is not None else cfg.param("seed", 0)
     t_grid = cfg.param("t_grid") or np.geomspace(1e-4, 1e-1, 13).tolist()
     s_grid = cfg.param("s_grid") or np.geomspace(1e-3, 1e-1, 9).tolist()
     reports = []
@@ -160,18 +157,18 @@ def cmd_verify(cfg: RunConfig, args):
         reports += check_flow_moments(
             spec, dec, cfg.param("q", 2.0),
             cfg.param("t_grid") or np.geomspace(1e-3, 1e-1, 7).tolist(),
-            cfg.param("n_paths"), seed, threads=args.threads,
+            cfg.param("n_paths"), args.seed, threads=args.threads,
         )
     out = _out_dir(args)
     header = ("name", "kind", "expected", "measured", "tolerance", "passed", "seed")
     rows = [
         (r.name, r.kind, "" if r.expected is None else r.expected,
-         r.measured, r.tolerance, r.passed, seed)
+         r.measured, r.tolerance, r.passed, args.seed)
         for r in reports
     ]
     path = _write_rows(out / "verify", header, rows, args.format)
     pts_rows = [
-        (r.name, t, v, seed) for r in reports for t, v in r.points
+        (r.name, t, v, args.seed) for r in reports for t, v in r.points
     ]
     pts_path = _write_rows(out / "verify_points", ("name", "t", "value", "seed"), pts_rows, args.format)
     n_fail = sum(not r.passed for r in reports)
@@ -212,21 +209,27 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.threads is None:
-            args.threads = cfg.param("threads", 1)
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        if args.seed is not None and not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must be an integer in [0, 2**64)")
-        if args.budget is not None and args.budget < 2:
-            raise ConfigError("--budget must be >= 2")
-        return _COMMANDS[args.command](cfg, args)
+        # an overflow or invalid value anywhere in the run, worker threads
+        # included, raises here instead of flowing on as inf or NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cfg = load_config(args.config)
+            if args.threads is None:
+                args.threads = cfg.param("threads", 1)
+            if args.threads < 1:
+                raise ConfigError("--threads must be >= 1")
+            if args.seed is None:
+                args.seed = cfg.param("seed", 0)
+            elif not 0 <= args.seed < 2**64:
+                raise ConfigError("--seed must be an integer in [0, 2**64)")
+            if args.budget is not None and args.budget < 2:
+                raise ConfigError("--budget must be >= 2")
+            return _COMMANDS[args.command](cfg, args)
     except (ConfigError, NotHypoelliptic, ValueError) as exc:
         # a ValueError is a library precondition that the config did not meet
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KolmotkError, MemoryError) as exc:
+    except (KolmotkError, ArithmeticError, MemoryError, RuntimeWarning) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

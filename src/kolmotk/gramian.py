@@ -66,8 +66,9 @@ def _van_loan(A, Q, t: float) -> np.ndarray:
     return 0.5 * (Qt + Qt.T)
 
 
-def gramian_quadrature(spec: OperatorSpec, t: float, rel_tol=1e-12) -> np.ndarray:
-    """Independent oracle: adaptive Gauss-Legendre on the raw integrand."""
+def gramian_quadrature(spec: OperatorSpec, t: float) -> np.ndarray:
+    """Independent oracle: Gauss-Legendre on the raw integrand, doubling the
+    nodes until two rules agree to 1e-12 relative to the largest entry."""
     if t <= 0.0:
         raise ValueError("t must be positive")
 
@@ -84,7 +85,7 @@ def gramian_quadrature(spec: OperatorSpec, t: float, rel_tol=1e-12) -> np.ndarra
     for _ in range(10):
         m *= 2
         cur = integral(m)
-        if np.abs(cur - prev).max() <= rel_tol * max(np.abs(cur).max(), 1e-300):
+        if np.abs(cur - prev).max() <= 1e-12 * max(np.abs(cur).max(), 1e-300):
             return 0.5 * (cur + cur.T)
         prev = cur
     return 0.5 * (prev + prev.T)
@@ -115,24 +116,20 @@ class Gramian:
     exponents: np.ndarray  # per reference coordinate, (2h+1)/2
 
     @property
-    def floor(self):
-        return max(_EPS * float(np.trace(self.scaled)), 1e-14)
-
-    @property
     def min_eig_pre_clamp(self):
         return float(self.scaled_eig[0][0])
 
-    def _checked_scaled_eig(self):
-        vals, vecs = self.scaled_eig
-        if vals[0] < self.floor or self.t < TMIN:
-            raise SingularGramian(
-                f"scaled Gramian eigenvalue {vals[0]:.3e} below floor at t={self.t:g}"
-            )
-        return vals, vecs
-
     def whitened_norm(self, v) -> float:
-        """|Q_t^{-1/2} v| via the scaled factorization."""
-        vals, vecs = self._checked_scaled_eig()
+        """|Q_t^{-1/2} v| via the scaled factorization; refused below TMIN
+        and when the least eigenvalue of G_hat is below eps trace(G_hat)
+        (at least 1e-14)."""
+        vals, vecs = self.scaled_eig
+        if self.t < TMIN:
+            raise SingularGramian(f"t={self.t:g} below the minimum scale {TMIN:g}")
+        floor = max(_EPS * float(np.trace(self.scaled)), 1e-14)
+        if vals[0] < floor:
+            raise SingularGramian(f"scaled Gramian eigenvalue {vals[0]:.3e} below floor "
+                                  f"{floor:.3e} at t={self.t:g}")
         w = (self.dec.basis.T @ np.asarray(v, dtype=float)) * self.t ** (-self.exponents)
         return float(np.linalg.norm((vecs.T @ w) / np.sqrt(vals)))
 
@@ -161,7 +158,8 @@ def gramian(spec: OperatorSpec, t: float, dec: KalmanDecomposition | None = None
         try:
             scaled, exps = _scaled_gramian(spec, dec, t)
             matrix = _van_loan(spec.A, spec.Q, t)
-        except (OverflowError, ValueError):  # a doubling count from inf or NaN
+        # an exponential float64 cannot hold, or a doubling count from inf or NaN
+        except (OverflowError, ValueError, KolmotkError):
             scaled = matrix = np.array(np.nan)
     if not (np.isfinite(scaled).all() and np.isfinite(matrix).all()):
         raise KolmotkError(f"Q_t is not representable in float64 at t={t:g}")

@@ -62,13 +62,12 @@ class ScalarField:
         lo, hi = self.box[:, 0], self.box[:, 1]
         return bool(np.all(x >= lo) and np.all(x <= hi))
 
-    @staticmethod
-    def default_box(n, half_width=DEFAULT_BOX_HALF_WIDTH):
-        return np.array([[-half_width, half_width]] * n, dtype=float)
-
     @classmethod
     def from_callable(cls, fn, n, box=None, grad=None):
-        box = cls.default_box(n) if box is None else np.asarray(box, dtype=float)
+        """The field ``fn`` on ``box``, by default [-5, 5]^n."""
+        if box is None:
+            box = [[-DEFAULT_BOX_HALF_WIDTH, DEFAULT_BOX_HALF_WIDTH]] * n
+        box = np.asarray(box, dtype=float)
         return cls(eval=fn, box=box, grad=grad)
 
     @classmethod

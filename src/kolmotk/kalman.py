@@ -4,8 +4,11 @@ anisotropic quasi-norm.
 The decomposition grades R^n by how many applications of the linear drift
 are needed to carry noise into a direction: block 0 is the noisy span
 {e_1..e_p}, block m is the orthogonal complement gained by the m-th power
-of A.  The quasi-norm weighs block m with exponent 1/(2m+1), which is the
-natural parabolic scaling of the associated diffusion.
+of A.  ``decompose`` builds it in one pass over the powers of A, which also
+decides the Kalman index k (the number of blocks less one) and whether the
+rank condition holds.  The quasi-norm weighs block m with exponent
+1/(2m+1), which is the natural parabolic scaling of the associated
+diffusion.
 """
 
 from __future__ import annotations
@@ -20,41 +23,12 @@ from .operators import OperatorSpec, _frozen
 __all__ = [
     "Block",
     "KalmanDecomposition",
-    "kalman_index",
     "decompose",
 ]
 
-DEFAULT_RANK_TOL = 1e-10
-
-
-def _noise_columns(spec: OperatorSpec):
-    # columns of Q^{1/2}; rank p_tilde by positivity of Q0
-    return spec.Q_sqrt[:, : spec.p_tilde]
-
-
-def kalman_index(spec: OperatorSpec, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Smallest k with rank [Q^{1/2}, A Q^{1/2}, ..., A^k Q^{1/2}] = n.
-
-    Rank is judged by singular values above ``tol`` times the largest one.
-    Raises :class:`NotHypoelliptic` when the rank stalls below n.
-    """
-    n = spec.n
-    cols = _noise_columns(spec)
-    stacked = cols
-    prev_rank = 0
-    for k in range(n):
-        svals = np.linalg.svd(stacked, compute_uv=False)
-        rank = int(np.sum(svals > tol * svals[0]))
-        if rank == n:
-            return k
-        if rank == prev_rank:
-            raise NotHypoelliptic(
-                f"controllability rank stalls at {rank} < {n} at power {k}"
-            )
-        prev_rank = rank
-        cols = spec.A @ cols
-        stacked = np.hstack([stacked, cols])
-    raise NotHypoelliptic(f"rank {prev_rank} < {n} after power {n - 1}")
+# a singular value (or a Gram-Schmidt residual) counts when above this
+# fraction of the largest one (of the candidate's norm)
+RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,7 +37,6 @@ class Block:
 
     index_set: tuple
     basis: np.ndarray  # (n, dim) orthonormal columns
-    projection: np.ndarray  # (n, n) symmetric idempotent
 
     @property
     def dim(self):
@@ -74,8 +47,10 @@ class Block:
 class KalmanDecomposition:
     """Orthogonal grading R^n = sum_m E_m(R^n) with a reference basis.
 
-    ``basis`` has the block bases as consecutive columns; the first
-    p_tilde columns are exactly e_1..e_p_tilde.
+    ``k`` is the Kalman index, the smallest k with
+    rank [Q^{1/2}, A Q^{1/2}, ..., A^k Q^{1/2}] = n.  ``basis`` has the
+    block bases as consecutive columns; the first p_tilde columns are
+    exactly e_1..e_p_tilde.
     """
 
     k: int
@@ -125,20 +100,29 @@ class KalmanDecomposition:
         return "d(z, z') = " + " + ".join(parts)
 
 
-def decompose(spec: OperatorSpec, tol: float = DEFAULT_RANK_TOL) -> KalmanDecomposition:
-    """Build the orthogonal Kalman decomposition of ``spec``.
+def decompose(spec: OperatorSpec) -> KalmanDecomposition:
+    """Build the orthogonal Kalman decomposition of ``spec`` in one pass
+    over the powers m = 0, 1, ... of A.
 
-    Gram-Schmidt runs in block order over the candidates A^m e_i,
-    m = 0..k, i = 1..p_tilde, which makes the reference basis
-    deterministic across platforms.
+    Pass m ranks [Q^{1/2}, A Q^{1/2}, ..., A^m Q^{1/2}] by its singular
+    values above ``RANK_TOL`` times the largest one, and runs Gram-Schmidt
+    over the candidates A^m e_i, i = 1..p_tilde, for block m, which makes
+    the reference basis deterministic across platforms.  The pass at which
+    the rank reaches n is the Kalman index k; a pass that adds no rank
+    raises :class:`NotHypoelliptic`, so the rank reaches n by m = n - 1.
     """
-    k = kalman_index(spec, tol=tol)
     n = spec.n
+    cols = spec.Q_sqrt[:, : spec.p_tilde]  # rank p_tilde by positivity of Q0
+    stacked = cols
+    rank = 0
     accepted = []  # orthonormal columns, in block order
     blocks = []
     cand = np.eye(n)[:, : spec.p_tilde]
-    next_index = 1
-    for m in range(k + 1):
+    for m in range(n):
+        svals = np.linalg.svd(stacked, compute_uv=False)
+        prev_rank, rank = rank, int(np.sum(svals > RANK_TOL * svals[0]))
+        if rank == prev_rank:
+            raise NotHypoelliptic(f"controllability rank stalls at {rank} < {n} at power {m}")
         block_cols = []
         for i in range(spec.p_tilde):
             v = cand[:, i].copy()
@@ -151,25 +135,20 @@ def decompose(spec: OperatorSpec, tol: float = DEFAULT_RANK_TOL) -> KalmanDecomp
             for u in accepted + block_cols:
                 v -= (u @ v) * u
             r = np.linalg.norm(v)
-            if r > tol * norm0:
+            if r > RANK_TOL * norm0:
                 block_cols.append(v / r)
-        if m == 0:
-            # range(E_0) is span{e_1..e_p_tilde} exactly
-            block_cols = [np.eye(n)[:, i] for i in range(spec.p_tilde)]
         if not block_cols:
-            raise NotHypoelliptic(
-                f"block {m} is empty although the Kalman index is {k}"
-            )
-        basis = np.column_stack(block_cols)
-        proj = basis @ basis.T
-        idx = tuple(range(next_index, next_index + len(block_cols)))
-        next_index += len(block_cols)
-        blocks.append(Block(index_set=idx, basis=_frozen(basis), projection=_frozen(proj)))
+            raise NotHypoelliptic(f"block {m} is empty although the rank grew to {rank}")
+        start = len(accepted) + 1
+        blocks.append(Block(index_set=tuple(range(start, start + len(block_cols))),
+                            basis=_frozen(np.column_stack(block_cols))))
         accepted.extend(block_cols)
+        if rank == n:
+            break
+        cols = spec.A @ cols
+        stacked = np.hstack([stacked, cols])
         cand = spec.A @ cand
-    if next_index != n + 1:
-        raise NotHypoelliptic(
-            f"decomposition spans {next_index - 1} < {n} directions"
-        )
+    if len(accepted) != n:
+        raise NotHypoelliptic(f"decomposition spans {len(accepted)} < {n} directions")
     full = np.column_stack([b.basis for b in blocks])
-    return KalmanDecomposition(k=k, blocks=tuple(blocks), basis=_frozen(full))
+    return KalmanDecomposition(k=m, blocks=tuple(blocks), basis=_frozen(full))

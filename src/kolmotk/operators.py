@@ -11,6 +11,9 @@ is restricted to sums of tanh ridge functions, which keeps all derivatives
 bounded by construction.  ``DriftField`` stacks its terms into three arrays
 once, so F and the tangent rows DF v are each one matrix product over any
 batch of points; ``DriftField.tangent`` is the one place that forms DF.
+``OperatorSpec`` builds Q, its root, Q0^{-1/2} and the Girsanov projection
+at construction from the one eigendecomposition that validates Q0; only
+the Kalman decomposition, which can fail, is built on first use.
 """
 
 from __future__ import annotations
@@ -20,17 +23,24 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .errors import KolmotkError
+
 __all__ = ["DriftTerm", "DriftField", "OperatorSpec", "matrix_exp"]
 
 _SYM_TOL = 1e-12
 
 
 def matrix_exp(M, t=1.0):
-    """Matrix exponential e^{t M} (scaling-and-squaring with a Pade core)."""
+    """Matrix exponential e^{t M} (scaling-and-squaring with a Pade core).
+    One that float64 cannot hold is a numeric failure: scipy can return
+    NaN for it without an overflow warning."""
     M = np.asarray(M, dtype=float)
     if t == 0.0:
         return np.eye(M.shape[0])
-    return scipy.linalg.expm(t * M)
+    E = scipy.linalg.expm(t * M)
+    if not np.isfinite(E).all():
+        raise KolmotkError(f"e^(tM) is not representable in float64 at t={t:g}")
+    return E
 
 
 def _frozen(a, dtype=float):
@@ -110,23 +120,15 @@ class DriftField:
         aV = (V @ self._a).reshape(len(x), -1, len(self._b)) * s[:, None, :]
         return th @ self._c, aV.reshape(len(V), -1) @ self._c
 
-    def __call__(self, x):
-        return self.value(x)
-
-
-def _sym_eig_psd(M, name):
-    vals, vecs = np.linalg.eigh(M)
-    if vals[0] <= 0.0:
-        raise ValueError(f"{name} must be positive definite (min eig {vals[0]:g})")
-    return vals, vecs
-
 
 @dataclass(frozen=True)
 class OperatorSpec:
     """The triple (Q0, A, F) with dimensions (n, p_tilde).
 
     Immutable after construction; validation happens here so downstream
-    code can assume a well-formed operator.
+    code can assume a well-formed operator.  The eigendecomposition that
+    validates Q0 also gives the read-only matrices ``Q`` (Q0 embedded in
+    the top-left n x n block), its root ``Q_sqrt`` and ``Q0_inv_sqrt``.
     """
 
     n: int
@@ -148,59 +150,31 @@ class OperatorSpec:
         if np.abs(Q0 - Q0.T).max() > _SYM_TOL * scale:
             raise ValueError("Q0 must be symmetric")
         Q0 = 0.5 * (Q0 + Q0.T)
-        _sym_eig_psd(Q0, "Q0")
+        vals, vecs = np.linalg.eigh(Q0)
+        if vals[0] <= 0.0:
+            raise ValueError(f"Q0 must be positive definite (min eig {vals[0]:g})")
         if self.F.max_target() > self.p_tilde:
             raise ValueError("drift components allowed only in coordinates 1..p_tilde")
-        object.__setattr__(self, "Q0", _frozen(Q0))
-        object.__setattr__(self, "A", _frozen(A))
-        object.__setattr__(self, "_cache", {})
-
-    # --- derived matrices -------------------------------------------------
-
-    def _cached(self, key, builder):
-        cache = self._cache
-        if key not in cache:
-            cache[key] = builder()
-        return cache[key]
-
-    @property
-    def Q(self):
-        """n x n diffusion matrix with Q0 embedded in the top-left block."""
-
-        def build():
-            Q = np.zeros((self.n, self.n))
-            Q[: self.p_tilde, : self.p_tilde] = self.Q0
-            return _frozen(Q)
-
-        return self._cached("Q", build)
-
-    @property
-    def Q_sqrt(self):
-        def build():
-            vals, vecs = np.linalg.eigh(self.Q0)
-            root = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
-            S = np.zeros((self.n, self.n))
-            S[: self.p_tilde, : self.p_tilde] = root
-            return _frozen(S)
-
-        return self._cached("Q_sqrt", build)
-
-    @property
-    def Q0_inv_sqrt(self):
-        def build():
-            vals, vecs = np.linalg.eigh(self.Q0)
-            return _frozen(vecs @ np.diag(vals**-0.5) @ vecs.T)
-
-        return self._cached("Q0_inv_sqrt", build)
+        p = self.p_tilde
+        Q, S = np.zeros((self.n, self.n)), np.zeros((self.n, self.n))
+        Q[:p, :p] = Q0
+        S[:p, :p] = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
+        inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.T
+        for name, value in [("Q0", Q0), ("A", A), ("Q", Q), ("Q_sqrt", S),
+                            ("Q0_inv_sqrt", inv_sqrt),
+                            ("_G_proj", np.eye(self.n, p) @ inv_sqrt.T)]:
+            object.__setattr__(self, name, _frozen(value))
+        object.__setattr__(self, "_dec", None)
 
     def girsanov_noise(self, x):
         """G(x) = Q^{-1/2} F(x), the drift in noise units, on the p_tilde coordinates F reaches."""
-        proj = self._cached("G_proj", lambda: np.eye(self.n, self.p_tilde) @ self.Q0_inv_sqrt.T)
-        return self.F.value(x, proj)
+        return self.F.value(x, self._G_proj)
 
-    def decomposition(self, tol=1e-10):
-        """Cached Kalman decomposition of this operator."""
-        from .kalman import decompose
+    def decomposition(self):
+        """The Kalman decomposition of this operator, built on first use
+        (building it raises NotHypoelliptic when the rank condition fails)."""
+        if self._dec is None:
+            from .kalman import decompose
 
-        key = ("dec", tol)
-        return self._cached(key, lambda: decompose(self, tol=tol))
+            object.__setattr__(self, "_dec", decompose(self))
+        return self._dec

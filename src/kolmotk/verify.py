@@ -52,7 +52,6 @@ _VACUOUS_NORM = 1e-13
 @dataclass(frozen=True)
 class ExponentFit:
     slope: float
-    intercept: float
     r2: float
     points: tuple
 
@@ -76,7 +75,7 @@ def fit_exponent(points) -> ExponentFit:
     resid = lv - (slope * lt + intercept)
     ss_tot = float(np.sum((lv - lv.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return ExponentFit(slope=float(slope), intercept=float(intercept), r2=r2, points=tuple(pts))
+    return ExponentFit(slope=float(slope), r2=r2, points=tuple(pts))
 
 
 @dataclass(frozen=True)

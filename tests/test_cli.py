@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +158,48 @@ def test_gramian_out_of_float_range_is_numeric_failure(tmp_path, capsys, t):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numeric failure:")
     assert not (tmp_path / "gramian.csv").exists()
+
+
+COS = {"type": "cos", "w": [1.0, 0.5]}
+RUN_OVERFLOWS = {
+    "exp-block-norms": ("verify", {"operator": OP_NL, "s_grid": [1000, 2000, 3000]}),
+    "direct": ("evaluate", {"operator": OP_NL, "t": 1000, "steps": 64, "field": COS}),
+    "girsanov": ("evaluate", {"operator": OP_NL, "t": 1000, "steps": 64, "field": COS,
+                              "method": "girsanov"}),
+    "huge-wave": ("evaluate", {"operator": OP_NL, "t": 0.5, "steps": 64,
+                               "field": {"type": "cos", "w": [1e308, 1e308]}}),
+    "zero-drift": ("evaluate", {"operator": OP_2D, "t": 1000, "field": COS}),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(RUN_OVERFLOWS))
+def test_overflow_in_a_run_is_numeric_failure(tmp_path, capsys, case, threads):
+    """An overflow or invalid value anywhere in a run, in a pool worker too
+    (a budget of 5000 paths is two chunks), ends with rc 3 and one line,
+    where numpy warnings, an SVD error with rc 2 or NaN rows with rc 0 used
+    to come out."""
+    command, doc = RUN_OVERFLOWS[case]
+    cfg = write_cfg(tmp_path, dict(doc, x=[0.2, -0.1], seed=7, budget=5000))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = run([command, "--config", cfg, "--out", str(tmp_path), "--threads", threads])
+    assert rc == 3 and not seen
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure:")
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+def test_singular_gramian_message_names_its_floor(tmp_path, capsys):
+    """At t = 100 the floor eps trace(G_hat) is far above the least
+    eigenvalue 0.98; the message prints it."""
+    cfg = write_cfg(tmp_path, {"operator": OP_NL, "t_grid": [100, 200, 300], "n_paths": 4})
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    m = re.fullmatch(r"numeric failure: scaled Gramian eigenvalue (\S+) below floor (\S+) at t=100",
+                     err[0])
+    assert m and float(m[1]) < float(m[2])
 
 
 def test_evaluate_out_of_memory_is_numeric_failure(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Fuzzed front door: mutated README configs either parse or fail with a
-ConfigError, and analyze, gramian and verify end with an exit code in
-{0, 2, 3}, no traceback and, on a non-zero exit, one stderr line.
-Examples are derandomized so that a run is reproducible.  The mutations
-never add 'n_paths', so verify runs only its deterministic checks and no
-command simulates a path."""
+ConfigError, and every command ends with an exit code in {0, 2, 3}, no
+traceback and, on a non-zero exit, one stderr line.  Examples are
+derandomized so that a run is reproducible.  The mutations never add
+'n_paths', so verify runs only its deterministic checks and no command
+there simulates a path; evaluate and solve run on their own fuzzed
+numbers, capped so that an example ends within a second, and a run that
+exits 0 has written only finite numbers."""
 
 import contextlib
 import copy
@@ -95,19 +97,83 @@ def test_parse_config_accepts_or_raises_config_error(doc):
         pass
 
 
-@FUZZ
-@given(mutated_configs(), st.sampled_from(["analyze", "gramian", "verify"]))
-def test_cli_exit_code_contract(doc, command):
+def _check_exit_code_contract(doc, command, finite_columns):
+    """Run ``command`` on ``doc``: rc in {0, 2, 3}, no traceback, one stderr
+    line on failure, and on success only finite numbers in the named
+    columns of its CSV (in every column for None, in none for [])."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as d:
         cfg = Path(d) / "cfg.json"
         cfg.write_text(json.dumps(doc))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main([command, "--config", str(cfg), "--out", d])
-        if rc == 0 and command == "gramian":
-            rows = (Path(d) / "gramian.csv").read_text().splitlines()[1:]
-            assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+        if rc == 0 and finite_columns != []:
+            header, *rows = (Path(d) / f"{command}.csv").read_text().splitlines()
+            names = header.split(",")
+            cols = [names.index(c) for c in (names if finite_columns is None else finite_columns)]
+            assert all(math.isfinite(float(row.split(",")[j])) for row in rows for j in cols)
     assert rc in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     if rc:
         assert len(err.getvalue().splitlines()) == 1
+
+
+@FUZZ
+@given(mutated_configs(), st.sampled_from(["analyze", "gramian", "verify"]))
+def test_cli_exit_code_contract(doc, command):
+    _check_exit_code_contract(doc, command, None if command == "gramian" else [])
+
+
+# numbers up to the edge of float64, positive ones for times and rates;
+# each includes one value that the config rejects
+SIGNED = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e308, 1e308),
+                   st.sampled_from([0.0, 1e3, -1e300, 1e308, math.nan]))
+POSITIVE = st.one_of(st.floats(1e-4, 10.0), st.floats(1e-6, 1e308),
+                     st.sampled_from([1e-300, 1e3, 1e300, 0.0]))
+
+
+@st.composite
+def stepping_configs(draw):
+    """The README config, with or without its drift, for evaluate or solve.
+
+    budget and paths_per_node are at most 8, steps at most 64 and lambda at
+    least 0.5.  With drift, every solver node steps default_steps(t), so
+    lambda is at least 2, and t and the field sizes at most 5 and 10, which
+    keeps the horizon of the elliptic quadrature near 5."""
+    drift = draw(st.booleans())
+    command = draw(st.sampled_from(["evaluate", "solve"]))
+    doc = copy.deepcopy(README)
+    del doc["budget"]
+    if not drift:
+        doc["operator"]["drift"] = []
+    size = st.floats(-10.0, 10.0) if drift else SIGNED
+    w = [draw(SIGNED), draw(SIGNED)]
+    doc["field"] = draw(st.sampled_from([
+        {"type": "cos", "w": w, "amplitude": draw(size)},
+        {"type": "const", "value": draw(size)},
+    ]))
+    doc["x"] = [draw(SIGNED), draw(SIGNED)]
+    doc["seed"] = draw(st.sampled_from([0, 7, 2**64 - 1]))
+    if command == "evaluate":
+        doc["t"] = draw(POSITIVE)
+        doc["steps"] = draw(st.integers(1, 64))
+        doc["budget"] = draw(st.integers(2, 8))
+        doc["method"] = draw(st.sampled_from(["direct", "girsanov"]))
+    else:
+        doc["paths_per_node"] = draw(st.integers(2, 8))
+        if draw(st.booleans()):
+            doc["lambda"] = draw(st.floats(2.0 if drift else 0.5, 1e6))
+            doc["tol"] = draw(st.floats(1e-4, 10.0) if drift else POSITIVE)
+        else:
+            doc["t"] = draw(st.floats(-1.0, 5.0) if drift else POSITIVE)
+            doc["fields"] = [doc.pop("field"), {"type": "const", "value": draw(size)}]
+    return doc, command
+
+
+@settings(FUZZ, max_examples=100)
+@given(stepping_configs())
+def test_stepping_commands_exit_code_contract(case):
+    """evaluate and solve: an overflow or NaN anywhere in the run, huge
+    horizons and waves included, is rc 3 with one line, never a NaN row."""
+    doc, command = case
+    _check_exit_code_contract(doc, command, ["mean", "stderr"])

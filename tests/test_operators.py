@@ -40,6 +40,24 @@ def test_embedded_diffusion_matrix():
     assert np.allclose(spec.Q_sqrt @ spec.Q_sqrt.T, spec.Q)
 
 
+def test_derived_matrices_of_a_rotated_noise_block():
+    """p_tilde = 2 with a non-diagonal Q0: the root and the inverse root come
+    from one eigendecomposition at construction and are read-only."""
+    c, s = np.cos(0.6), np.sin(0.6)
+    R = np.array([[c, -s], [s, c]])
+    Q0 = R @ np.diag([2.0, 0.5]) @ R.T
+    spec = OperatorSpec(n=3, p_tilde=2, Q0=Q0, A=np.zeros((3, 3)), F=DriftField())
+    assert np.allclose(spec.Q0, Q0, rtol=0.0, atol=1e-15)
+    Q = np.zeros((3, 3))
+    Q[:2, :2] = spec.Q0
+    assert np.array_equal(spec.Q, Q)
+    assert np.allclose(spec.Q_sqrt @ spec.Q_sqrt.T, Q, rtol=0.0, atol=1e-14)
+    assert np.allclose(spec.Q0_inv_sqrt @ Q0 @ spec.Q0_inv_sqrt, np.eye(2), rtol=0.0, atol=1e-14)
+    for a in (spec.Q, spec.Q_sqrt, spec.Q0_inv_sqrt):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
 def test_drift_value_and_bound():
     term = DriftTerm(1, 0.5, [2.0, 1.0], b=0.3)
     F = DriftField([term])

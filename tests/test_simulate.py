@@ -130,10 +130,10 @@ def test_bundle_consistent_with_endpoints():
     eAS = eAdt @ SPEC_NL.Q_sqrt
     Z, X, lp = [x0], [x0], [0.0]
     for dw in brownian_increments(seed, pid, grid.steps, 2, dt):
-        g = SPEC_NL.Q0_inv_sqrt @ DRIFT(Z[-1])[:1]
+        g = SPEC_NL.Q0_inv_sqrt @ DRIFT.value(Z[-1])[:1]
         lp.append(lp[-1] + g @ dw[:1] - 0.5 * dt * (g @ g))
         Z.append(eAdt @ Z[-1] + eAS @ dw)
-        X.append(eAdt @ (X[-1] + dt * DRIFT(X[-1])) + eAS @ dw)
+        X.append(eAdt @ (X[-1] + dt * DRIFT.value(X[-1])) + eAS @ dw)
     assert np.allclose(b.Z, Z, rtol=0.0, atol=1e-12)
     assert np.allclose(b.X, X, rtol=0.0, atol=1e-12)
     assert np.allclose(b.log_phi, lp, rtol=0.0, atol=1e-12)
