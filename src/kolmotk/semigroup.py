@@ -27,7 +27,7 @@ from .errors import SingularGramian
 from .gramian import TMIN, gramian
 from .holder import ScalarField
 from .operators import OperatorSpec, matrix_exp
-from .simulate import (_gaussian_endpoints, brownian_increments, girsanov_endpoints,
+from .simulate import (_exact_normals, _gaussian_endpoints, girsanov_endpoints,
                        simulate_endpoints)
 
 __all__ = [
@@ -73,16 +73,16 @@ def _endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=0, threads=1,
                method="direct", with_variation=False):
     """``girsanov_endpoints`` for ``method="girsanov"``, ``simulate_endpoints``
     otherwise, except that for F == 0 it draws the exact law
-    X_t = e^{tA} x + S xi with S S' = Q_t, log_phi = 0 and eta = e^{tA}: xi
-    is the first n normals of each path's own stream, shared by every start."""
+    X_t = e^{tA} x + S xi with S S' = Q_t, log_phi = 0 and eta = e^{tA}: the
+    xi of path p (``path_offset`` counts) is normals [p n, (p+1) n) of the
+    seed's ``_exact_normals`` stream, shared by every start and any threads."""
     if not spec.F.is_zero:
         if method == "girsanov":
             return girsanov_endpoints(spec, x0s, t, steps, seed, n_paths,
                                       path_offset=path_offset, threads=threads)
         return simulate_endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=path_offset,
                                   threads=threads, with_variation=with_variation)
-    xi = np.concatenate([brownian_increments(seed, pid, 1, spec.n, 1.0)
-                         for pid in range(path_offset, path_offset + n_paths)])
+    xi = _exact_normals(seed, path_offset * spec.n, n_paths * spec.n).reshape(n_paths, spec.n)
     X = _gaussian_endpoints(spec, x0s, t, xi)
     if method == "girsanov":
         return X, np.zeros(X.shape[:2])
@@ -313,8 +313,8 @@ def solve_parabolic(
     semigroup times are floored at the minimum scale: on (t - t_min, t]
     the integrand is approximated by H(t, x).
     """
-    if t <= scheme.t_min:
-        raise ValueError(f"t must exceed the minimum scale {scheme.t_min:g}")
+    if t <= scheme.t_min:  # (t_min, t] must not be empty
+        raise SingularGramian(f"t={t:g} not above the minimum semigroup scale {scheme.t_min:g}")
     fields, ts, ws = [g], [t], [1.0]
     if H is not None:
         xg, wg = np.polynomial.legendre.leggauss(scheme.nodes_per_panel * 2)

@@ -14,6 +14,9 @@ Each stepper is one private generator of its states that steps the noise
 blocks it is handed; the endpoints are its last state, ``simulate_bundle``
 stacks every state of one path, so a dumped path is the arithmetic the
 estimators run, and ``deterministic_flow`` is the X stepper fed zero noise.
+The exact F == 0 law takes no steps: path p of dimension n owns normals
+[p n, (p+1) n) of one indexed stream per seed (``_exact_normals``), so any
+block of paths is drawn at its offset without replay.
 """
 
 from __future__ import annotations
@@ -92,6 +95,19 @@ def brownian_increments(seed, path_id, steps, n, dt):
 
 
 # --- exact linear sampling --------------------------------------------------
+
+
+def _exact_normals(seed, first, count):
+    """Normals [first, first + count) of the exact stream of ``seed``: Philox
+    with key [0, seed] from top counter word 2^63, apart from every stepping
+    stream (key [path_id, seed] from counter 0).  Normals 2j and 2j + 1 are
+    the Box-Muller pair of raw words 2j and 2j + 1, drawn at their offset."""
+    w0, end = first - first % 2, first + count + (first + count) % 2
+    bits = np.random.Philox(key=int(seed) << 64, counter=1 << 255)
+    raw = bits.advance(w0 // 4).random_raw(w0 % 4 + end - w0)[w0 % 4:]
+    u = ((raw >> 11) + 0.5) * 2.0**-53  # strictly inside (0, 1)
+    r, a = np.sqrt(-2.0 * np.log(u[0::2])), 2.0 * np.pi * u[1::2]
+    return np.stack([r * np.cos(a), r * np.sin(a)], axis=1).ravel()[first - w0:][:count]
 
 
 def _gaussian_endpoints(spec: OperatorSpec, x0s, t: float, xi):

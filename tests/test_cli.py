@@ -90,7 +90,6 @@ def test_bad_seed_and_budget_exit_code(tmp_path, capsys, command, extra, flags):
     ("evaluate", {"threads": 0}),
     ("evaluate", {"theta": 0.5, "threads": 8}),
     ("evaluate", {"gamma": 1.5}),
-    ("solve", {"t": 5e-5, "fields": [{"type": "const", "value": 0.0}] * 2}),
     ("evaluate", {"operator": dict(OP_NL, drift=[dict(OP_NL["drift"][0], b=None)])}),
     ("evaluate", {"operator": dict(OP_NL, drift=[dict(OP_NL["drift"][0], i=1.5)])}),
     ("evaluate", {"operator": dict(OP_NL, drift=[dict(OP_NL["drift"][0], a=[1.0, NAN])])}),
@@ -110,7 +109,7 @@ def test_bad_seed_and_budget_exit_code(tmp_path, capsys, command, extra, flags):
     ("verify", {"q": -1, "n_paths": 100}),
 ], ids=["steps-0", "steps-0-dump-paths", "t-nan", "t-negative", "t-grid-negative", "t-bool",
         "x-wrong-length", "lambda-negative", "tol-negative", "threads-0", "theta-unknown",
-        "gamma-unknown", "parabolic-t-below-tmin", "drift-b-null", "drift-i-fraction",
+        "gamma-unknown", "drift-b-null", "drift-i-fraction",
         "drift-a-nan", "drift-not-array", "A-nan", "A-inf", "Q0-inf", "field-value-null",
         "field-w-inf", "fields-not-array", "Q0-string", "A-bool", "A-row-not-array",
         "s-grid-zero", "s-grid-negative", "q-zero", "q-negative"])
@@ -147,6 +146,24 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, doc)
     assert run(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("evaluate", {"t": 1e-6}),
+    ("solve", {"t": 5e-5, "fields": [{"type": "const", "value": 0.0}] * 2}),
+    ("solve", {"t": 1e-4, "fields": [{"type": "const", "value": 0.0}] * 2}),
+], ids=["evaluate-t-below-tmin", "parabolic-t-below-tmin", "parabolic-t-at-tmin"])
+def test_time_below_tmin_is_numeric_failure(tmp_path, capsys, command, extra):
+    """A time below the minimum scale 1e-4 (at it, for a parabolic solve,
+    whose interval (1e-4, t] would be empty) is one numeric failure in
+    every command."""
+    doc = {"operator": OP_2D, "field": {"type": "const", "value": 1.0}, **extra}
+    cfg = write_cfg(tmp_path, doc)
+    assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure:")
+    assert "minimum semigroup scale" in err[0]
+    assert not (tmp_path / f"{command}.csv").exists()
 
 
 @pytest.mark.parametrize("t", [1e3, 1e300, 1e-200])

@@ -247,6 +247,21 @@ def test_zero_drift_ignores_steps_and_threads():
         assert len(ests) == 1
 
 
+def test_zero_drift_path_offset_extends_without_replay():
+    """F == 0 paths [0, 2m) are the paths of two calls at path_offset 0 and
+    m, for n = 2 and n = 3 (an odd path block splits Box-Muller pairs)."""
+    spec3 = OperatorSpec(n=3, p_tilde=1, Q0=[[1.0]],
+                         A=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], F=DriftField())
+    m = 37
+    for spec in (SPEC_OU, spec3):
+        seen = []
+        f = ScalarField.from_callable(lambda X: seen.append(X) or X[..., 0], spec.n)
+        runs = [evaluate(spec, f, 0.3, np.zeros(spec.n), b, 11, path_offset=off)
+                for b, off in ((2 * m, 0), (m, 0), (m, m))]
+        assert np.array_equal(seen[0], np.concatenate(seen[1:]))
+        assert runs[0].mean == pytest.approx((runs[1].mean + runs[2].mean) / 2, rel=1e-12)
+
+
 def test_fd_derivative_of_linear_field_shares_noise():
     """<a, X_t> has the derivative <a, e^{tA} e_i>; with one draw shared by
     both starts the difference quotient is the same on every path."""

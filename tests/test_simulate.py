@@ -20,7 +20,7 @@ from kolmotk import (
     simulate_endpoints,
     write_path_csv,
 )
-from kolmotk.simulate import brownian_increments, path_rng
+from kolmotk.simulate import _exact_normals, brownian_increments, path_rng
 
 SPEC_OU = OperatorSpec(n=2, p_tilde=1, Q0=[[1.0]], A=[[0.0, 0.0], [1.0, 1.0]],
                        F=DriftField())
@@ -231,3 +231,31 @@ def test_rekeyed_stream_equals_path_rng():
         sys.setswitchinterval(interval)
     for (seed, pid), dw in zip(cases, drawn):
         assert np.array_equal(dw, path_rng(seed, pid).standard_normal((6, 3)) * 0.5)
+
+
+def test_exact_stream_slice_equals_full_draw():
+    """Normals drawn at an offset equal the same slice of one full draw:
+    odd and even first and count, offsets that split a Box-Muller pair or
+    a 4-word Philox block, and blocks of whole paths of n = 2 and 3 normals."""
+    full = _exact_normals(7, 0, 120)
+    for first in range(12):
+        for count in range(10):
+            assert np.array_equal(_exact_normals(7, first, count), full[first:first + count])
+    for n in (2, 3):
+        for p, m in [(1, 3), (3, 5), (5, 2), (7, 9)]:
+            assert np.array_equal(_exact_normals(7, p * n, m * n), full[p * n:(p + m) * n])
+
+
+def test_exact_stream_is_standard_normal_and_apart_from_stepping():
+    """The exact stream has N(0, 1) moments, and its first normals are
+    neither path 0's increments nor Box-Muller of path 0's raw words,
+    although both streams use the key [0, seed]."""
+    z = _exact_normals(3, 0, 200000)
+    sd = 1.0 / math.sqrt(len(z))
+    assert np.all(np.isfinite(z))
+    assert abs(z.mean()) < 5 * sd and abs(z.var() - 1.0) < 5 * math.sqrt(2) * sd
+    for n in (2, 3):
+        assert not np.any(_exact_normals(7, 0, n) == brownian_increments(7, 0, 1, n, 1.0)[0])
+    u = ((path_rng(7, 0).bit_generator.random_raw(2) >> 11) + 0.5) * 2.0**-53
+    box_muller = math.sqrt(-2.0 * math.log(u[0])) * math.cos(2.0 * math.pi * u[1])
+    assert _exact_normals(7, 0, 1)[0] != box_muller
