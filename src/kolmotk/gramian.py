@@ -91,17 +91,31 @@ def gramian_quadrature(spec: OperatorSpec, t: float) -> np.ndarray:
     return 0.5 * (prev + prev.T)
 
 
-def _scaled_gramian(spec: OperatorSpec, dec: KalmanDecomposition, t: float):
-    """G_hat and the per-coordinate exponent vector (2h+1)/2."""
-    exps = np.empty(spec.n)
-    for h, b in enumerate(dec.blocks):
-        for i in b.index_set:
-            exps[i - 1] = (2 * h + 1) / 2.0
+def _scaled_gramian(spec: OperatorSpec, dec: KalmanDecomposition, t: float, exps):
+    """G_hat for the per-coordinate exponents ``exps``, (2h+1)/2."""
     d = t**exps
     B = dec.basis
     A_hat = t * (B.T @ spec.A @ B) * (d[None, :] / d[:, None])
     Q_hat = t * (B.T @ spec.Q @ B) / np.outer(d, d)
-    return _van_loan(A_hat, Q_hat, 1.0), exps
+    return _van_loan(A_hat, Q_hat, 1.0)
+
+
+def _representable(t: float, build, *args) -> np.ndarray:
+    """The Q_t ``build(*args)``, or a KolmotkError if float64 cannot hold it."""
+    with np.errstate(all="ignore"):
+        try:
+            M = build(*args)
+        # an exponential float64 cannot hold, or a doubling count from inf or NaN
+        except (OverflowError, ValueError, KolmotkError):
+            M = np.array(np.nan)
+    if not np.isfinite(M).all():
+        raise KolmotkError(f"Q_t is not representable in float64 at t={t:g}")
+    return M
+
+
+def _covariance(spec: OperatorSpec, t: float) -> np.ndarray:
+    """The assembled n x n Q_t, from one Van Loan exponential."""
+    return _representable(t, _van_loan, spec.A, spec.Q, t)
 
 
 @dataclass(frozen=True)
@@ -154,18 +168,11 @@ def gramian(spec: OperatorSpec, t: float, dec: KalmanDecomposition | None = None
         raise ValueError("t must be positive")
     if dec is None:
         dec = spec.decomposition()
-    with np.errstate(all="ignore"):
-        try:
-            scaled, exps = _scaled_gramian(spec, dec, t)
-            matrix = _van_loan(spec.A, spec.Q, t)
-        # an exponential float64 cannot hold, or a doubling count from inf or NaN
-        except (OverflowError, ValueError, KolmotkError):
-            scaled = matrix = np.array(np.nan)
-    if not (np.isfinite(scaled).all() and np.isfinite(matrix).all()):
-        raise KolmotkError(f"Q_t is not representable in float64 at t={t:g}")
+    exps = np.repeat(np.arange(dec.k + 1) + 0.5, dec.block_dims)
+    scaled = _representable(t, _scaled_gramian, spec, dec, t, exps)
     return Gramian(
         t=float(t),
-        matrix=matrix,
+        matrix=_covariance(spec, t),
         dec=dec,
         scaled=scaled,
         scaled_eig=tuple(np.linalg.eigh(scaled)),
@@ -187,9 +194,12 @@ def whitened_direction_norm(
     return gram.whitened_norm(v)
 
 
+def _block_norm(dec: KalmanDecomposition, E, h: int, h_from: int) -> float:
+    """Operator norm of E_h E E_{h_from} for an n x n matrix E."""
+    M = dec.blocks[h].basis.T @ E @ dec.blocks[h_from].basis
+    return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
 def block_exp_norm(spec: OperatorSpec, dec: KalmanDecomposition, s: float, h: int, h_from: int) -> float:
     """Operator norm of E_h e^{sA} E_{h_from}."""
-    U = dec.blocks[h].basis
-    V = dec.blocks[h_from].basis
-    M = U.T @ matrix_exp(spec.A, s) @ V
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    return _block_norm(dec, matrix_exp(spec.A, s), h, h_from)

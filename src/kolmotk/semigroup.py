@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularGramian
-from .gramian import TMIN, gramian
+from .gramian import TMIN, _covariance
 from .holder import ScalarField
 from .operators import OperatorSpec, matrix_exp
 from .simulate import (_exact_normals, _gaussian_endpoints, girsanov_endpoints,
@@ -344,7 +344,7 @@ def cosine_propagator(spec: OperatorSpec, f: ScalarField, times, weights) -> Sca
         if t == 0.0:
             eA, Qt = np.eye(spec.n), np.zeros((spec.n, spec.n))
         else:
-            eA, Qt = matrix_exp(spec.A, t), gramian(spec, t).matrix
+            eA, Qt = matrix_exp(spec.A, t), _covariance(spec, t)
         coeffs.append(weight * f.coeffs * np.exp(-0.5 * np.einsum("jm,mn,jn->j", W, Qt, W)))
         waves.append(W @ eA)
     return ScalarField.mixture(np.concatenate(coeffs), np.vstack(waves), box=f.box)

@@ -97,17 +97,27 @@ def brownian_increments(seed, path_id, steps, n, dt):
 # --- exact linear sampling --------------------------------------------------
 
 
+def _indexed_uniforms(seed, counter, first, count):
+    """Uniforms ((word >> 11) + 0.5) 2^-53, strictly inside (0, 1), of raw
+    words [first, first + count) of Philox with key [0, seed] from
+    ``counter``, reached by ``advance`` and one ``random_raw``."""
+    bits = np.random.Philox(key=int(seed) << 64, counter=counter)
+    raw = bits.advance(first // 4).random_raw(first % 4 + count)[first % 4:]
+    return ((raw >> 11) + 0.5) * 2.0**-53
+
+
+def _box_muller(u):
+    """Normals 2j, 2j + 1 of the uniforms 2j, 2j + 1 along the last (even) axis."""
+    r, a = np.sqrt(-2.0 * np.log(u[..., 0::2])), 2.0 * np.pi * u[..., 1::2]
+    return np.stack([r * np.cos(a), r * np.sin(a)], axis=-1).reshape(u.shape)
+
+
 def _exact_normals(seed, first, count):
-    """Normals [first, first + count) of the exact stream of ``seed``: Philox
-    with key [0, seed] from top counter word 2^63, apart from every stepping
-    stream (key [path_id, seed] from counter 0).  Normals 2j and 2j + 1 are
-    the Box-Muller pair of raw words 2j and 2j + 1, drawn at their offset."""
+    """Normals [first, first + count) of the exact stream of ``seed``, the
+    Box-Muller normals of the indexed words from top counter word 2^63,
+    apart from every stepping stream (key [path_id, seed] from counter 0)."""
     w0, end = first - first % 2, first + count + (first + count) % 2
-    bits = np.random.Philox(key=int(seed) << 64, counter=1 << 255)
-    raw = bits.advance(w0 // 4).random_raw(w0 % 4 + end - w0)[w0 % 4:]
-    u = ((raw >> 11) + 0.5) * 2.0**-53  # strictly inside (0, 1)
-    r, a = np.sqrt(-2.0 * np.log(u[0::2])), 2.0 * np.pi * u[1::2]
-    return np.stack([r * np.cos(a), r * np.sin(a)], axis=1).ravel()[first - w0:][:count]
+    return _box_muller(_indexed_uniforms(seed, 1 << 255, w0, end - w0))[first - w0:][:count]
 
 
 def _gaussian_endpoints(spec: OperatorSpec, x0s, t: float, xi):

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonPositiveValue
-from .gramian import block_exp_norm, gramian, whitened_direction_norm
+from .gramian import _block_norm, gramian
 from .holder import ScalarField, holder_norm
 from .kalman import KalmanDecomposition
-from .operators import OperatorSpec
+from .operators import OperatorSpec, matrix_exp
 from .semigroup import (
     QuadratureScheme,
     _resolvent_nodes,
@@ -104,15 +104,15 @@ def _exponent_report(name, fit: ExponentFit, expected, tol, provenance=None):
 
 
 def check_gramian_scaling(spec: OperatorSpec, dec: KalmanDecomposition, t_grid) -> list:
-    """Whitened-direction slopes -(h+1/2) and block root norms (2h+1)/2."""
+    """Whitened-direction slopes -(h+1/2) of |Q_t^{-1/2} e^{tA} e_i| and block
+    root norms (2h+1)/2, from one Gramian and one e^{tA} per t."""
     t_grid = np.asarray(t_grid, dtype=float)
     grams = [gramian(spec, float(t), dec) for t in t_grid]
+    exps = [matrix_exp(spec.A, g.t) for g in grams]
     reports = []
     for i in range(1, spec.n + 1):
         h = dec.block_of_coordinate(i)
-        pts = [
-            (g.t, whitened_direction_norm(spec, dec, g.t, i, gram=g)) for g in grams
-        ]
+        pts = [(g.t, g.whitened_norm(E[:, i - 1])) for g, E in zip(grams, exps)]
         fit = fit_exponent(pts)
         reports.append(
             _exponent_report(f"whitened-direction i={i}", fit, -(h + 0.5), DET_SLOPE_TOL)
@@ -127,14 +127,18 @@ def check_gramian_scaling(spec: OperatorSpec, dec: KalmanDecomposition, t_grid) 
 
 
 def check_exponential_blocks(spec: OperatorSpec, dec: KalmanDecomposition, s_grid) -> list:
-    """Slopes of ||E_i e^{sA} E_h||: i - h for i > h, at least 1 for i < h."""
+    """Slopes of ||E_i e^{sA} E_h||: i - h for i > h, at least 1 for i < h,
+    from one e^{sA} per s."""
+    if dec.k == 0:
+        return []  # no pair of distinct blocks
     s_grid = np.asarray(s_grid, dtype=float)
+    exps = [matrix_exp(spec.A, float(s)) for s in s_grid]
     reports = []
     for i in range(dec.k + 1):
         for h in range(dec.k + 1):
             if i == h:
                 continue
-            pts = [(s, block_exp_norm(spec, dec, float(s), i, h)) for s in s_grid]
+            pts = [(s, _block_norm(dec, E, i, h)) for s, E in zip(s_grid, exps)]
             name = f"exp-block i={i} h={h}"
             if max(v for _, v in pts) < _VACUOUS_NORM:
                 reports.append(

@@ -246,6 +246,15 @@ def test_exact_stream_slice_equals_full_draw():
             assert np.array_equal(_exact_normals(7, p * n, m * n), full[p * n:(p + m) * n])
 
 
+def test_exact_stream_values_are_pinned():
+    """The exact stream's values, at even and odd offsets, are fixed."""
+    assert [repr(float(z)) for z in _exact_normals(7, 3, 5)] == [
+        "1.1242619978510326", "0.486840092490595", "-0.1894124835514669",
+        "0.17454495450719867", "0.9897769031292006"]
+    assert [repr(float(z)) for z in _exact_normals(2**63 + 5, 11, 3)] == [
+        "-1.0823936132133307", "-1.6294167759004001", "1.0783011896616859"]
+
+
 def test_exact_stream_is_standard_normal_and_apart_from_stepping():
     """The exact stream has N(0, 1) moments, and its first normals are
     neither path 0's increments nor Box-Muller of path 0's raw words,

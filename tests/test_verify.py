@@ -8,12 +8,14 @@ from kolmotk import (
     OperatorSpec,
     QuadratureScheme,
     ScalarField,
+    block_exp_norm,
     check_exponential_blocks,
     check_flow_moments,
     check_gramian_scaling,
     check_parabolic_schauder_ratio,
     check_schauder_ratio,
     fit_exponent,
+    whitened_direction_norm,
 )
 
 SPEC_2D = OperatorSpec(n=2, p_tilde=1, Q0=[[1.0]], A=[[0.0, 0.0], [1.0, 1.0]],
@@ -22,6 +24,9 @@ A_SHIFT = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
 SPEC_3D = OperatorSpec(n=3, p_tilde=1, Q0=[[1.0]], A=A_SHIFT, F=DriftField())
 SPEC_NL = OperatorSpec(n=2, p_tilde=1, Q0=[[1.0]], A=[[0.0, 0.0], [1.0, 1.0]],
                        F=DriftField([DriftTerm(1, 0.8, [1.0, 0.5], 0.1)]))
+# a 4-D chain with blocks of dimension 2, 1 and 1
+SPEC_4D_P2 = OperatorSpec(n=4, p_tilde=2, Q0=[[1.0, 0.3], [0.3, 2.0]],
+                          A=np.diag([0.0, 1.0, 1.0], -1) + 0.1 * np.eye(4), F=DriftField())
 
 
 def test_fit_exponent_exact_square():
@@ -156,23 +161,57 @@ def test_parabolic_schauder_ratio():
 
 def test_parabolic_schauder_ratio_builds_each_cauchy_field_once(monkeypatch):
     import kolmotk.semigroup
-    import kolmotk.verify
 
     calls = []
 
     def counted(original):
-        def gramian(*args, **kwargs):
+        def covariance(*args, **kwargs):
             calls.append(args[1])
             return original(*args, **kwargs)
-        return gramian
+        return covariance
 
-    for module in (kolmotk.semigroup, kolmotk.verify):
-        monkeypatch.setattr(module, "gramian", counted(module.gramian))
+    monkeypatch.setattr(kolmotk.semigroup, "_covariance", counted(kolmotk.semigroup._covariance))
     check_parabolic_schauder_ratio(SPEC_2D, SPEC_2D.decomposition(),
                                    [ScalarField.cosine([1.0, 0.5])], 0.5, (0.5,),
                                    budget=50, seed=6)
     # the head P_t g and 32 source nodes, for both budgets
     assert len(calls) == 33
+
+
+@pytest.mark.parametrize("spec", [SPEC_2D, SPEC_3D, SPEC_4D_P2], ids=["2d", "3d", "4d-p2"])
+def test_scaling_checks_equal_their_per_pair_reference(spec):
+    """Each check point is bitwise the public per-pair norm."""
+    dec = spec.decomposition()
+    ts, ss = np.geomspace(1e-4, 1e-1, 7), np.geomspace(1e-3, 1e-1, 5)
+    whitened = check_gramian_scaling(spec, dec, ts)[:spec.n]
+    for i, rep in enumerate(whitened, start=1):
+        assert rep.points == tuple((t, whitened_direction_norm(spec, dec, t, i)) for t in ts)
+    pairs = [(i, h) for i in range(dec.k + 1) for h in range(dec.k + 1) if i != h]
+    reports = check_exponential_blocks(spec, dec, ss)
+    assert len(reports) == len(pairs)
+    for (i, h), rep in zip(pairs, reports):
+        ref = tuple((s, block_exp_norm(spec, dec, s, i, h)) for s in ss)
+        assert rep.points == ref or (rep.kind == "vacuous" and max(v for _, v in ref) < 1e-13)
+
+
+def test_scaling_checks_form_one_exponential_per_grid_time(monkeypatch):
+    import kolmotk.verify
+
+    calls = []
+
+    def matrix_exp(M, t=1.0):
+        calls.append(t)
+        return original(M, t)
+
+    original = kolmotk.verify.matrix_exp
+    monkeypatch.setattr(kolmotk.verify, "matrix_exp", matrix_exp)
+    dec = SPEC_4D_P2.decomposition()
+    ts, ss = np.geomspace(1e-4, 1e-1, 7), np.geomspace(1e-3, 1e-1, 5)
+    check_gramian_scaling(SPEC_4D_P2, dec, ts)
+    assert calls == list(ts)
+    calls.clear()
+    check_exponential_blocks(SPEC_4D_P2, dec, ss)
+    assert calls == list(ss)
 
 
 def test_schauder_ratio_constant_field_is_exact_under_drift():
