@@ -34,8 +34,8 @@ __all__ = [
 SCALE_MIN = 1e-3
 DEFAULT_BOX_HALF_WIDTH = 5.0
 _GAMMA_INT_TOL = 1e-9
-# top counter word 2^62: apart from the exact normals (2^63) and the
-# stepping streams (counter 0); counter word 2 numbers the candidate
+# region 2^62 (top counter word) of the seed's one Philox key [0, seed], between
+# the stepping (0) and exact (2^63) regions of ``simulate``; word 2 numbers the candidate
 _STENCIL_STREAM = 1 << 254
 _CANDIDATES = 200
 

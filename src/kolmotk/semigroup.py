@@ -27,7 +27,7 @@ from .errors import SingularGramian
 from .gramian import TMIN, _covariance
 from .holder import ScalarField
 from .operators import OperatorSpec, matrix_exp
-from .simulate import (_exact_normals, _gaussian_endpoints, girsanov_endpoints,
+from .simulate import (_EXACT, _gaussian_endpoints, _normals, girsanov_endpoints,
                        simulate_endpoints)
 
 __all__ = [
@@ -75,14 +75,14 @@ def _endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=0, threads=1,
     otherwise, except that for F == 0 it draws the exact law
     X_t = e^{tA} x + S xi with S S' = Q_t, log_phi = 0 and eta = e^{tA}: the
     xi of path p (``path_offset`` counts) is normals [p n, (p+1) n) of the
-    seed's ``_exact_normals`` stream, shared by every start and any threads."""
+    seed's exact region, shared by every start and any threads."""
     if not spec.F.is_zero:
         if method == "girsanov":
             return girsanov_endpoints(spec, x0s, t, steps, seed, n_paths,
                                       path_offset=path_offset, threads=threads)
         return simulate_endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=path_offset,
                                   threads=threads, with_variation=with_variation)
-    xi = _exact_normals(seed, path_offset * spec.n, n_paths * spec.n).reshape(n_paths, spec.n)
+    xi = _normals(seed, _EXACT, path_offset * spec.n, n_paths * spec.n).reshape(n_paths, spec.n)
     X = _gaussian_endpoints(spec, x0s, t, xi)
     if method == "girsanov":
         return X, np.zeros(X.shape[:2])
@@ -167,6 +167,8 @@ def derivative_estimate(
         raise ValueError("budget >= 2")
     if not (1 <= len(multi_index) <= 3):
         raise ValueError("multi-index order must be 1..3")
+    if not all(1 <= i <= spec.n for i in multi_index):
+        raise ValueError(f"multi-index coordinates must be in 1..{spec.n}")
     if t < TMIN:
         raise SingularGramian(f"t={t:g} below the minimum semigroup scale {TMIN:g}")
     if method not in ("fd", "pathwise"):

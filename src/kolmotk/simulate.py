@@ -1,28 +1,29 @@
 """Path generation: exact linear sampling, exponential-Euler integration,
 the deterministic drift flow, variation flows and Girsanov log-weights.
 
-Noise discipline: every path owns a Philox counter-based stream keyed by
-(seed, path_id), and the Brownian increments are drawn first.  Two
-steppers read the same increments and advance only what their estimator
-reads: ``simulate_endpoints`` the full path X (and its first variation
-eta, the exact derivative of the exponential-Euler step, so that eta is
-the derivative of the X it returns), ``girsanov_endpoints`` the linear
-reference path Z and its Girsanov log-weight.  With F == 0 the two paths
-are the same arithmetic, so X == Z is exact rather than statistical, and
-results are bit-identical no matter how paths are chunked across threads.
-Each stepper is one private generator of its states that steps the noise
-blocks it is handed; the endpoints are its last state, ``simulate_bundle``
-stacks every state of one path, so a dumped path is the arithmetic the
-estimators run, and ``deterministic_flow`` is the X stepper fed zero noise.
-The exact F == 0 law takes no steps: path p of dimension n owns normals
-[p n, (p+1) n) of one indexed stream per seed (``_exact_normals``), so any
-block of paths is drawn at its offset without replay.
+Noise discipline: every Gaussian is read at an index from one Philox
+stream per seed, key [0, seed], whose top counter word splits it into
+regions: 0 for the stepping increments, 2^62 for the Hölder stencils
+(``holder``) and 2^63 for the exact F == 0 law.  Noise enters only the
+first p_tilde coordinates, so path q of a K-step run owns the normals
+[q K p_tilde, (q+1) K p_tilde) of the stepping region, drawn for a chunk
+of paths in one call.  Two steppers read the same increments and advance
+only what their estimator reads: ``simulate_endpoints`` the full path X
+(and its first variation eta, the exact derivative of the
+exponential-Euler step, so the derivative of the X it returns),
+``girsanov_endpoints`` the linear reference path Z and its Girsanov
+log-weight.  With F == 0 the two paths are the same arithmetic, so X == Z
+is exact, and results are bit-identical however paths are chunked across
+threads.  Each stepper is one private generator of its states, fed noise
+blocks; ``simulate_bundle`` stacks every state of one path, so a dumped
+path is the arithmetic the estimators run, and ``deterministic_flow`` is
+the X stepper fed zero noise.  The exact F == 0 law takes no steps: path
+p owns normals [p n, (p+1) n) of its region.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ from .operators import OperatorSpec, matrix_exp
 __all__ = [
     "PathGrid",
     "PathBundle",
-    "path_rng",
     "sample_ou_endpoints",
     "simulate_bundle",
     "simulate_endpoints",
@@ -44,7 +44,7 @@ __all__ = [
 
 CHUNK = 4096  # fixed path chunk; independent of thread count by design
 BLOCK = 64  # steps whose noise (and Girsanov path points) are held at once
-_local = threading.local()  # one re-keyed generator per thread: chunks run in a pool
+_STEPPING, _EXACT = 0, 1 << 255  # regions: top counter word 0 and 2^63 (2^62: holder)
 
 
 @dataclass(frozen=True)
@@ -74,33 +74,15 @@ class PathBundle:
     path_id: int
 
 
-def path_rng(seed: int, path_id: int) -> np.random.Generator:
-    """Counter-based stream for one path; disjoint across path ids."""
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(path_id)))
-
-
-def brownian_increments(seed, path_id, steps, n, dt):
-    """The stream of ``path_rng(seed, path_id)``, drawn by re-keying this
-    thread's Philox (key [path_id, seed], counter 0) instead of building
-    a generator per path."""
-    rng = getattr(_local, "rng", None)
-    if rng is None:
-        rng = _local.rng = np.random.Generator(np.random.Philox())
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([path_id, seed], np.uint64)},
-        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return rng.standard_normal((steps, n)) * np.sqrt(dt)
-
-
-# --- exact linear sampling --------------------------------------------------
+# --- indexed Gaussian streams ------------------------------------------------
 
 
 def _indexed_uniforms(seed, counter, first, count):
     """Uniforms ((word >> 11) + 0.5) 2^-53, strictly inside (0, 1), of raw
     words [first, first + count) of Philox with key [0, seed] from
     ``counter``, reached by ``advance`` and one ``random_raw``."""
+    if first < 0:  # a negative path_offset would wrap the counter
+        raise ValueError(f"stream index {first} < 0: path_offset must be >= 0")
     bits = np.random.Philox(key=int(seed) << 64, counter=counter)
     raw = bits.advance(first // 4).random_raw(first % 4 + count)[first % 4:]
     return ((raw >> 11) + 0.5) * 2.0**-53
@@ -112,12 +94,22 @@ def _box_muller(u):
     return np.stack([r * np.cos(a), r * np.sin(a)], axis=-1).reshape(u.shape)
 
 
-def _exact_normals(seed, first, count):
-    """Normals [first, first + count) of the exact stream of ``seed``, the
-    Box-Muller normals of the indexed words from top counter word 2^63,
-    apart from every stepping stream (key [path_id, seed] from counter 0)."""
+def _normals(seed, region, first, count):
+    """Normals [first, first + count) of the stream of ``seed`` in counter
+    region ``region``: the Box-Muller normals of its indexed words."""
     w0, end = first - first % 2, first + count + (first + count) % 2
-    return _box_muller(_indexed_uniforms(seed, 1 << 255, w0, end - w0))[first - w0:][:count]
+    return _box_muller(_indexed_uniforms(seed, region, w0, end - w0))[first - w0:][:count]
+
+
+def brownian_increments(seed, first_path, n_paths, steps, p, dt):
+    """Increments (steps, n_paths, p) of paths [first_path, first_path +
+    n_paths) of a ``steps``-step run: path q owns normals [q steps p,
+    (q+1) steps p) of the stepping region, scaled by sqrt(dt)."""
+    z = _normals(seed, _STEPPING, first_path * steps * p, n_paths * steps * p)
+    return z.reshape(n_paths, steps, p).swapaxes(0, 1) * np.sqrt(dt)
+
+
+# --- exact linear sampling --------------------------------------------------
 
 
 def _gaussian_endpoints(spec: OperatorSpec, x0s, t: float, xi):
@@ -140,18 +132,16 @@ def _stepping(spec: OperatorSpec, t, steps, seed, ids):
     noise blocks."""
     dt = t / steps
     eAdt = matrix_exp(spec.A, dt)
-    return dt, eAdt, _noise_blocks(eAdt @ spec.Q_sqrt, dt, steps, seed, ids)
+    return dt, eAdt, _noise_blocks(eAdt @ spec.Q_sqrt[:, :spec.p_tilde], dt, steps, seed, ids)
 
 
 def _noise_blocks(eAS, dt, steps, seed, ids):
-    """Per block of at most BLOCK steps of this chunk of paths: the
-    increments dW and the noise eAS dW they add to a step, both laid out
-    (step, path, n).  The noise of every block is written into one buffer,
-    so a block is valid only until the next one is drawn."""
-    dW = np.empty((steps, len(ids), len(eAS)))
-    for j, pid in enumerate(ids):
-        dW[:, j] = brownian_increments(seed, pid, steps, len(eAS), dt)
-    noise = np.empty((min(BLOCK, steps),) + dW.shape[1:])
+    """Per block of at most BLOCK steps of the consecutive paths ``ids``: the
+    increments dW (step, path, p_tilde) and the noise eAS dW (step, path, n)
+    they add to a step.  The noise of every block is written into one
+    buffer, so a block is valid only until the next one is drawn."""
+    dW = brownian_increments(seed, ids[0], len(ids), steps, eAS.shape[1], dt)
+    noise = np.empty((min(BLOCK, steps), len(ids), len(eAS)))
     for k in range(0, steps, BLOCK):
         dw = dW[k:k + BLOCK]
         yield dw, np.matmul(dw, eAS.T, out=noise[:len(dw)])
@@ -189,14 +179,14 @@ def _x_chunk(spec, x0s, t, steps, seed, ids, with_variation):
 
 def _z_blocks(spec, Z, dt, eAdt, blocks):
     """Per block of steps: the left points Zs (b, m, c, n) of Z' = e^{dtA} Z +
-    noise from the starts Z (m, c, n), G(Zs) and dW on the first p_tilde
-    coordinates (the only ones G reaches), and Z after the block."""
+    noise from the starts Z (m, c, n), G(Zs) and dW (b, c, p_tilde), and Z
+    after the block."""
     for dw, noise in blocks:
         Zs = np.empty((len(noise),) + Z.shape)
         for k, dz in enumerate(noise):
             Zs[k] = Z
             Z = Z @ eAdt.T + dz
-        yield Zs, spec.girsanov_noise(Zs), dw[..., :spec.p_tilde], Z
+        yield Zs, spec.girsanov_noise(Zs), dw, Z
 
 
 def _log_weight(G, dw, dt):
@@ -219,6 +209,8 @@ def _run_chunks(kernel, spec, x0s, t, steps, seed, n_paths, path_offset, threads
     the path axis; chunking does not depend on ``threads``."""
     if steps < 1:
         raise ValueError("steps >= 1")
+    if n_paths < 1:
+        raise ValueError("n_paths >= 1")
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     chunks = [
         range(path_offset + a, path_offset + min(a + CHUNK, n_paths))

@@ -153,6 +153,20 @@ def test_stencil_scale_is_the_quasi_norm(dec):
     assert np.all(np.count_nonzero(dec.block_components(v) > 0.0, axis=1) == 1)
 
 
+def test_stencil_stream_values_are_pinned():
+    """The stencils drawn from the stencil region at one seed are fixed:
+    the scales of samples 0..3, and sample 3's direction and base point."""
+    x, v, r = _stencils(DEC_P2, np.array([[-5.0, 5.0]] * 5), 7, 4)
+    assert [repr(float(a)) for a in r] == [
+        "0.25614098391113993", "0.012681700502208619", "0.06089753549024845",
+        "0.718673953860196"]
+    assert [repr(float(a)) for a in v[3]] == [
+        "-0.6726532436502415", "0.25304123332740847", "0.0", "0.0", "0.0"]
+    assert [repr(float(a)) for a in x[3]] == [
+        "-2.4929895511480153", "0.5311258590037404", "1.0743763580203547",
+        "3.1498980469286693", "3.2832438885271458"]
+
+
 def test_stencil_law():
     """Block uniform on 0..k, log r uniform on [log SCALE_MIN, 0] and, in a
     2-dimensional block, the direction's angle uniform, on 20k samples."""

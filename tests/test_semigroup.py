@@ -91,6 +91,11 @@ def test_evaluate_validation():
         evaluate(SPEC_OU, COS, 0.5, X0, 1, 0)
     with pytest.raises(ValueError):
         evaluate(SPEC_OU, COS, 0.5, X0, 100, 0, method="nope")
+    # a negative path offset would wrap the stream's counter, with or without drift
+    for spec in (SPEC_OU, SPEC_NL):
+        for method in ("direct", "girsanov"):
+            with pytest.raises(ValueError, match="path_offset must be >= 0"):
+                evaluate(spec, COS, 0.5, X0, 10, 3, method=method, steps=8, path_offset=-1)
 
 
 def oracle_gradient(t, x):
@@ -134,6 +139,12 @@ def test_derivative_validation():
         derivative_estimate(SPEC_OU, COS, 0.3, X0, (1, 2), 100, 0, method="pathwise")
     with pytest.raises(ValueError, match="unknown method 'pathwse'"):
         derivative_estimate(SPEC_OU, COS, 0.3, X0, (1,), 100, 0, method="pathwse")
+    for method in ("fd", "pathwise"):  # coordinates are 1..n
+        for multi_index in [(0,), (3,)]:
+            with pytest.raises(ValueError, match="coordinates must be in 1..2"):
+                derivative_estimate(SPEC_OU, COS, 0.3, X0, multi_index, 100, 0, method=method)
+    with pytest.raises(ValueError, match="coordinates must be in 1..2"):
+        derivative_estimate(SPEC_OU, COS, 0.3, X0, (1, 0), 100, 0, eps=0.01)
     for method in ("fd", "pathwise"):  # one path has no stderr, as in evaluate
         with pytest.raises(ValueError, match="budget >= 2"):
             derivative_estimate(SPEC_OU, COS, 0.3, X0, (1,), 1, 0, method=method)

@@ -1,7 +1,5 @@
-import concurrent.futures
 import io
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from kolmotk import (
     simulate_endpoints,
     write_path_csv,
 )
-from kolmotk.simulate import _exact_normals, brownian_increments, path_rng
+from kolmotk.simulate import _EXACT, _STEPPING, _normals, brownian_increments
 
 SPEC_OU = OperatorSpec(n=2, p_tilde=1, Q0=[[1.0]], A=[[0.0, 0.0], [1.0, 1.0]],
                        F=DriftField())
@@ -32,6 +30,11 @@ SPEC_CHAIN = OperatorSpec(n=3, p_tilde=1, Q0=[[1.0]],
                           A=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                           F=DriftField([DriftTerm(1, 0.6, [1.0, -0.5, 0.25], 0.1),
                                         DriftTerm(1, -0.4, [0.5, 1.0, -1.0], -0.2)]))
+
+
+def _exact_normals(seed, first, count):
+    """Normals of the exact region, the xi that F == 0 estimates read."""
+    return _normals(seed, _EXACT, first, count)
 
 
 def test_path_grid():
@@ -92,8 +95,11 @@ def test_drifted_steppers_independent_of_threads_and_offsets(stepper):
 
 @pytest.mark.parametrize("stepper", [simulate_endpoints, girsanov_endpoints])
 def test_steppers_reject_steps_below_one(stepper):
+    """Also fewer than one path, which would leave no chunk to join."""
     with pytest.raises(ValueError, match="steps"):
         stepper(SPEC_NL, np.zeros(2), 0.3, 0, 5, 10)
+    with pytest.raises(ValueError, match="n_paths >= 1"):
+        stepper(SPEC_NL, np.zeros(2), 0.3, 16, 5, 0)
 
 
 def test_exponential_euler_endpoint_distribution():
@@ -127,11 +133,11 @@ def test_bundle_consistent_with_endpoints():
     b = simulate_bundle(SPEC_NL, x0, grid, seed, path_id=pid)
     dt = grid.dt
     eAdt = matrix_exp(SPEC_NL.A, dt)
-    eAS = eAdt @ SPEC_NL.Q_sqrt
+    eAS = eAdt @ SPEC_NL.Q_sqrt[:, :1]
     Z, X, lp = [x0], [x0], [0.0]
-    for dw in brownian_increments(seed, pid, grid.steps, 2, dt):
+    for dw in brownian_increments(seed, pid, 1, grid.steps, 1, dt)[:, 0]:
         g = SPEC_NL.Q0_inv_sqrt @ DRIFT.value(Z[-1])[:1]
-        lp.append(lp[-1] + g @ dw[:1] - 0.5 * dt * (g @ g))
+        lp.append(lp[-1] + g @ dw - 0.5 * dt * (g @ g))
         Z.append(eAdt @ Z[-1] + eAS @ dw)
         X.append(eAdt @ (X[-1] + dt * DRIFT.value(X[-1])) + eAS @ dw)
     assert np.allclose(b.Z, Z, rtol=0.0, atol=1e-12)
@@ -214,36 +220,38 @@ def test_write_path_csv_format():
     assert float(lines[2].split(",")[3]) == b.Z[1, 0]
 
 
-def test_rekeyed_stream_equals_path_rng():
-    """Re-keying one generator per thread reproduces each path's own
-    stream, also with draws interleaved across threads."""
-    cases = [(0, 0), (7, 3), (2**32 - 5, 2**40), (5, 2**40 + 17)] * 8
-
-    def draw(case):
-        return brownian_increments(*case, 6, 3, 0.25)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            drawn = list(pool.map(draw, cases, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    for (seed, pid), dw in zip(cases, drawn):
-        assert np.array_equal(dw, path_rng(seed, pid).standard_normal((6, 3)) * 0.5)
-
-
-def test_exact_stream_slice_equals_full_draw():
+@pytest.mark.parametrize("region", [_STEPPING, _EXACT], ids=["stepping", "exact"])
+def test_stream_slice_equals_full_draw(region):
     """Normals drawn at an offset equal the same slice of one full draw:
     odd and even first and count, offsets that split a Box-Muller pair or
     a 4-word Philox block, and blocks of whole paths of n = 2 and 3 normals."""
-    full = _exact_normals(7, 0, 120)
+    full = _normals(7, region, 0, 120)
     for first in range(12):
         for count in range(10):
-            assert np.array_equal(_exact_normals(7, first, count), full[first:first + count])
+            assert np.array_equal(_normals(7, region, first, count), full[first:first + count])
     for n in (2, 3):
         for p, m in [(1, 3), (3, 5), (5, 2), (7, 9)]:
-            assert np.array_equal(_exact_normals(7, p * n, m * n), full[p * n:(p + m) * n])
+            assert np.array_equal(_normals(7, region, p * n, m * n), full[p * n:(p + m) * n])
+
+
+def test_stepping_increments_are_path_slices_of_the_stream():
+    """Path q of a K-step run owns normals [q K p, (q+1) K p), scaled by
+    sqrt(dt), whatever block of paths it is drawn in (K p odd here, so
+    paths split Box-Muller pairs)."""
+    K, p = 7, 1
+    full = _normals(11, _STEPPING, 0, 9 * K * p).reshape(9, K, p)
+    for first, count in [(0, 9), (1, 3), (4, 1), (5, 4)]:
+        dw = brownian_increments(11, first, count, K, p, 0.25)
+        assert dw.shape == (K, count, p)
+        assert np.array_equal(dw, full[first:first + count].swapaxes(0, 1) * 0.5)
+
+
+def test_stepping_stream_values_are_pinned():
+    """The stepping region's values, at even and odd offsets, are fixed."""
+    assert [repr(float(z)) for z in _normals(7, _STEPPING, 3, 3)] == [
+        "-1.4802541989664335", "0.061722406747844544", "-0.30527242042931957"]
+    assert [repr(float(z)) for z in _normals(2**63 + 5, _STEPPING, 10, 2)] == [
+        "-0.5635161250733196", "-0.7918758545610839"]
 
 
 def test_exact_stream_values_are_pinned():
@@ -256,15 +264,12 @@ def test_exact_stream_values_are_pinned():
 
 
 def test_exact_stream_is_standard_normal_and_apart_from_stepping():
-    """The exact stream has N(0, 1) moments, and its first normals are
-    neither path 0's increments nor Box-Muller of path 0's raw words,
-    although both streams use the key [0, seed]."""
-    z = _exact_normals(3, 0, 200000)
-    sd = 1.0 / math.sqrt(len(z))
-    assert np.all(np.isfinite(z))
-    assert abs(z.mean()) < 5 * sd and abs(z.var() - 1.0) < 5 * math.sqrt(2) * sd
-    for n in (2, 3):
-        assert not np.any(_exact_normals(7, 0, n) == brownian_increments(7, 0, 1, n, 1.0)[0])
-    u = ((path_rng(7, 0).bit_generator.random_raw(2) >> 11) + 0.5) * 2.0**-53
-    box_muller = math.sqrt(-2.0 * math.log(u[0])) * math.cos(2.0 * math.pi * u[1])
-    assert _exact_normals(7, 0, 1)[0] != box_muller
+    """Both regions of the key [0, seed] have N(0, 1) moments, and the exact
+    region shares no normal with the stepping region's first 1000."""
+    for region in (_STEPPING, _EXACT):
+        z = _normals(3, region, 0, 200000)
+        sd = 1.0 / math.sqrt(len(z))
+        assert np.all(np.isfinite(z))
+        assert abs(z.mean()) < 5 * sd and abs(z.var() - 1.0) < 5 * math.sqrt(2) * sd
+    exact, stepping = _exact_normals(7, 0, 1000), _normals(7, _STEPPING, 0, 1000)
+    assert not np.any(np.isin(exact, stepping))
