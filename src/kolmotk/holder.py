@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateBox, OutOfDomain
 from .kalman import KalmanDecomposition
-from .simulate import _box_muller, _indexed_uniforms
+from .simulate import _ROW, _STENCIL, _box_muller, _indexed_uniforms
 
 __all__ = [
     "ScalarField",
@@ -34,9 +34,6 @@ __all__ = [
 SCALE_MIN = 1e-3
 DEFAULT_BOX_HALF_WIDTH = 5.0
 _GAMMA_INT_TOL = 1e-9
-# region 2^62 (top counter word) of the seed's one Philox key [0, seed], between
-# the stepping (0) and exact (2^63) regions of ``simulate``; word 2 numbers the candidate
-_STENCIL_STREAM = 1 << 254
 _CANDIDATES = 200
 
 
@@ -117,8 +114,8 @@ def third_difference(f: ScalarField, x, v):
 
 def _stencils(dec: KalmanDecomposition, box, seed, budget):
     """Base points x, displacements v (budget, n) and scales r of samples
-    0..budget-1.  Candidate c of sample s is words [s K, (s+1) K) of the
-    stencil stream at candidate c: a word for the block h, one for log r,
+    0..budget-1.  Candidate c of sample s is words [s K, (s+1) K) of row c
+    of the seed's stencil region: a word for the block h, one for log r,
     an even run for one Box-Muller normal per reference coordinate, of
     which block h's give the direction u, and n for the base point; v =
     r^(2h+1) B_h u has quasi-norm r.  A sample reads its next candidate
@@ -129,7 +126,7 @@ def _stencils(dec: KalmanDecomposition, box, seed, budget):
     x, v, r = np.empty((budget, n)), np.empty((budget, n)), np.empty(budget)
     todo = np.arange(budget)
     for c in range(_CANDIDATES):
-        u = _indexed_uniforms(seed, _STENCIL_STREAM + (c << 128), 0, (todo[-1] + 1) * K)
+        u = _indexed_uniforms(seed, _STENCIL + c * _ROW, 0, (todo[-1] + 1) * K)
         u = u.reshape(-1, K)[todo]
         h = np.minimum((u[:, 0] * (dec.k + 1)).astype(int), dec.k)  # u (k+1) may round up
         rc = np.exp(np.log(SCALE_MIN) * u[:, 1])

@@ -5,20 +5,21 @@ Noise discipline: every Gaussian is read at an index from one Philox
 stream per seed, key [0, seed], whose top counter word splits it into
 regions: 0 for the stepping increments, 2^62 for the Hölder stencils
 (``holder``) and 2^63 for the exact F == 0 law.  Noise enters only the
-first p_tilde coordinates, so path q of a K-step run owns the normals
-[q K p_tilde, (q+1) K p_tilde) of the stepping region, drawn for a chunk
-of paths in one call.  Two steppers read the same increments and advance
-only what their estimator reads: ``simulate_endpoints`` the full path X
-(and its first variation eta, the exact derivative of the
-exponential-Euler step, so the derivative of the X it returns),
-``girsanov_endpoints`` the linear reference path Z and its Girsanov
-log-weight.  With F == 0 the two paths are the same arithmetic, so X == Z
-is exact, and results are bit-identical however paths are chunked across
-threads.  Each stepper is one private generator of its states, fed noise
-blocks; ``simulate_bundle`` stacks every state of one path, so a dumped
-path is the arithmetic the estimators run, and ``deterministic_flow`` is
-the X stepper fed zero noise.  The exact F == 0 law takes no steps: path
-p owns normals [p n, (p+1) n) of its region.
+first p_tilde coordinates: step k of path q is normals [q p_tilde, (q+1)
+p_tilde) of row k (counter word 2) of the stepping region, whatever the
+run's step count, so runs on disjoint paths share no normal, and a
+chunk's increments are drawn in one call.  Two steppers read the same
+increments and advance only what their estimator reads:
+``simulate_endpoints`` the full path X (and its first variation eta, the
+exact derivative of the exponential-Euler step, so the derivative of the
+X it returns), ``girsanov_endpoints`` the linear reference path Z and its
+Girsanov log-weight.  With F == 0 the two paths are the same arithmetic,
+so X == Z is exact, and results are bit-identical however paths are
+chunked across threads.  Each stepper is one private generator of its
+states, fed noise blocks; ``simulate_bundle`` stacks every state of one
+path, so a dumped path is the arithmetic the estimators run, and
+``deterministic_flow`` is the X stepper fed zero noise.  The exact F == 0
+law takes no steps: path p owns normals [p n, (p+1) n) of its region.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ __all__ = [
 
 CHUNK = 4096  # fixed path chunk; independent of thread count by design
 BLOCK = 64  # steps whose noise (and Girsanov path points) are held at once
-_STEPPING, _EXACT = 0, 1 << 255  # regions: top counter word 0 and 2^63 (2^62: holder)
+_STEPPING, _STENCIL, _EXACT = 0, 1 << 254, 1 << 255  # regions: top counter word 0, 2^62, 2^63
+_ROW = 1 << 128  # one unit of counter word 2, which numbers a region's rows
 
 
 @dataclass(frozen=True)
@@ -77,14 +79,18 @@ class PathBundle:
 # --- indexed Gaussian streams ------------------------------------------------
 
 
-def _indexed_uniforms(seed, counter, first, count):
-    """Uniforms ((word >> 11) + 0.5) 2^-53, strictly inside (0, 1), of raw
-    words [first, first + count) of Philox with key [0, seed] from
-    ``counter``, reached by ``advance`` and one ``random_raw``."""
-    if first < 0:  # a negative path_offset would wrap the counter
-        raise ValueError(f"stream index {first} < 0: path_offset must be >= 0")
-    bits = np.random.Philox(key=int(seed) << 64, counter=counter)
-    raw = bits.advance(first // 4).random_raw(first % 4 + count)[first % 4:]
+def _indexed_uniforms(seed, counter, first, count, rows=1):
+    """Uniforms ((word >> 11) + 0.5) 2^-53, strictly inside (0, 1), shape
+    (rows, count): row j holds raw words [first, first + count) of Philox
+    with key [0, seed] from ``counter`` + j _ROW, reached by ``advance``."""
+    if first < 0:  # a negative path index would wrap the counter
+        raise ValueError(f"stream index {first} < 0: path indices must be >= 0")
+    bits = np.random.Philox(key=int(seed) << 64, counter=counter).advance(first // 4)
+    m = int(first % 4 + count)
+    raw = np.empty((rows, count), dtype=np.uint64)
+    for row in raw:
+        row[:] = bits.random_raw(m)[first % 4:]
+        bits.advance(_ROW - (m + 3) // 4)  # random_raw moved the counter ceil(m / 4)
     return ((raw >> 11) + 0.5) * 2.0**-53
 
 
@@ -94,19 +100,21 @@ def _box_muller(u):
     return np.stack([r * np.cos(a), r * np.sin(a)], axis=-1).reshape(u.shape)
 
 
-def _normals(seed, region, first, count):
-    """Normals [first, first + count) of the stream of ``seed`` in counter
-    region ``region``: the Box-Muller normals of its indexed words."""
+def _normals(seed, counter, first, count, rows=1):
+    """Normals [first, first + count) of each of ``rows`` rows from
+    ``counter`` (a region, plus a first row): the Box-Muller normals of
+    their indexed words, shape (rows, count)."""
     w0, end = first - first % 2, first + count + (first + count) % 2
-    return _box_muller(_indexed_uniforms(seed, region, w0, end - w0))[first - w0:][:count]
+    z = _box_muller(_indexed_uniforms(seed, counter, w0, end - w0, rows))
+    return z[:, first - w0:][:, :count]
 
 
-def brownian_increments(seed, first_path, n_paths, steps, p, dt):
-    """Increments (steps, n_paths, p) of paths [first_path, first_path +
-    n_paths) of a ``steps``-step run: path q owns normals [q steps p,
-    (q+1) steps p) of the stepping region, scaled by sqrt(dt)."""
-    z = _normals(seed, _STEPPING, first_path * steps * p, n_paths * steps * p)
-    return z.reshape(n_paths, steps, p).swapaxes(0, 1) * np.sqrt(dt)
+def brownian_increments(seed, paths, steps, p, dt):
+    """Increments (steps, len(paths), p) of the consecutive ``paths`` over a
+    ``steps``-step run: step k of path q is normals [q p, (q+1) p) of row k
+    of the stepping region, scaled by sqrt(dt)."""
+    z = _normals(seed, _STEPPING, paths[0] * p, len(paths) * p, steps)
+    return z.reshape(steps, len(paths), p) * np.sqrt(dt)
 
 
 # --- exact linear sampling --------------------------------------------------
@@ -140,7 +148,7 @@ def _noise_blocks(eAS, dt, steps, seed, ids):
     increments dW (step, path, p_tilde) and the noise eAS dW (step, path, n)
     they add to a step.  The noise of every block is written into one
     buffer, so a block is valid only until the next one is drawn."""
-    dW = brownian_increments(seed, ids[0], len(ids), steps, eAS.shape[1], dt)
+    dW = brownian_increments(seed, ids, steps, eAS.shape[1], dt)
     noise = np.empty((min(BLOCK, steps), len(ids), len(eAS)))
     for k in range(0, steps, BLOCK):
         dw = dW[k:k + BLOCK]
@@ -274,7 +282,7 @@ def simulate_bundle(spec: OperatorSpec, x, grid: PathGrid, seed: int, path_id: i
     """Full record of one path: Z, X and the running log-weight after every
     step, stacked from what the endpoint steppers yield for that path."""
     x0 = np.asarray(x, dtype=float)
-    args = (spec, grid.t_end, grid.steps, seed, [int(path_id)])
+    args = (spec, grid.t_end, grid.steps, seed, range(int(path_id), int(path_id) + 1))
     X = np.stack([x0] + [Xk[0] for Xk, _ in _x_steps(spec, x0[None], *_stepping(*args), False)])
     Z, dlog = [], [0.0]
     for Zs, G, dw, Zk in _z_blocks(spec, x0[None, None], *_stepping(*args)):

@@ -94,7 +94,7 @@ def test_evaluate_validation():
     # a negative path offset would wrap the stream's counter, with or without drift
     for spec in (SPEC_OU, SPEC_NL):
         for method in ("direct", "girsanov"):
-            with pytest.raises(ValueError, match="path_offset must be >= 0"):
+            with pytest.raises(ValueError, match="path indices must be >= 0"):
                 evaluate(spec, COS, 0.5, X0, 10, 3, method=method, steps=8, path_offset=-1)
 
 

@@ -18,7 +18,8 @@ from kolmotk import (
     simulate_endpoints,
     write_path_csv,
 )
-from kolmotk.simulate import _EXACT, _STEPPING, _normals, brownian_increments
+from kolmotk import simulate
+from kolmotk.simulate import _EXACT, _ROW, _STEPPING, _normals, brownian_increments
 
 SPEC_OU = OperatorSpec(n=2, p_tilde=1, Q0=[[1.0]], A=[[0.0, 0.0], [1.0, 1.0]],
                        F=DriftField())
@@ -34,7 +35,7 @@ SPEC_CHAIN = OperatorSpec(n=3, p_tilde=1, Q0=[[1.0]],
 
 def _exact_normals(seed, first, count):
     """Normals of the exact region, the xi that F == 0 estimates read."""
-    return _normals(seed, _EXACT, first, count)
+    return _normals(seed, _EXACT, first, count)[0]
 
 
 def test_path_grid():
@@ -135,7 +136,7 @@ def test_bundle_consistent_with_endpoints():
     eAdt = matrix_exp(SPEC_NL.A, dt)
     eAS = eAdt @ SPEC_NL.Q_sqrt[:, :1]
     Z, X, lp = [x0], [x0], [0.0]
-    for dw in brownian_increments(seed, pid, 1, grid.steps, 1, dt)[:, 0]:
+    for dw in brownian_increments(seed, range(pid, pid + 1), grid.steps, 1, dt)[:, 0]:
         g = SPEC_NL.Q0_inv_sqrt @ DRIFT.value(Z[-1])[:1]
         lp.append(lp[-1] + g @ dw - 0.5 * dt * (g @ g))
         Z.append(eAdt @ Z[-1] + eAS @ dw)
@@ -148,6 +149,11 @@ def test_bundle_consistent_with_endpoints():
     assert np.array_equal(b.X[-1], Xe[0, 0])
     assert np.array_equal(b.Z[-1], Ze[0, 0])
     assert np.isclose(b.log_phi[-1], logphi[0, 0], rtol=0.0, atol=1e-12)
+
+
+def test_bundle_rejects_negative_path_id():
+    with pytest.raises(ValueError, match="path indices must be >= 0"):
+        simulate_bundle(SPEC_NL, np.zeros(2), PathGrid(0.3, 8), 5, path_id=-1)
 
 
 def test_deterministic_flow_zero_drift_is_matrix_exp():
@@ -224,34 +230,67 @@ def test_write_path_csv_format():
 def test_stream_slice_equals_full_draw(region):
     """Normals drawn at an offset equal the same slice of one full draw:
     odd and even first and count, offsets that split a Box-Muller pair or
-    a 4-word Philox block, and blocks of whole paths of n = 2 and 3 normals."""
-    full = _normals(7, region, 0, 120)
+    a 4-word Philox block, and blocks of whole paths of n = 2 and 3 normals.
+    Rows drawn together equal rows drawn one at a time."""
+    full = _normals(7, region, 0, 120)[0]
     for first in range(12):
         for count in range(10):
-            assert np.array_equal(_normals(7, region, first, count), full[first:first + count])
+            assert np.array_equal(_normals(7, region, first, count)[0], full[first:first + count])
     for n in (2, 3):
         for p, m in [(1, 3), (3, 5), (5, 2), (7, 9)]:
-            assert np.array_equal(_normals(7, region, p * n, m * n), full[p * n:(p + m) * n])
+            assert np.array_equal(_normals(7, region, p * n, m * n)[0], full[p * n:(p + m) * n])
+    for first, count in [(0, 8), (3, 5), (6, 1), (9, 10)]:
+        rows = _normals(7, region + 2 * _ROW, first, count, rows=4)
+        for j in range(4):
+            row = _normals(7, region + (2 + j) * _ROW, first, count)[0]
+            assert np.array_equal(rows[j], row)
+        assert not np.array_equal(rows[0], rows[1])
 
 
-def test_stepping_increments_are_path_slices_of_the_stream():
-    """Path q of a K-step run owns normals [q K p, (q+1) K p), scaled by
-    sqrt(dt), whatever block of paths it is drawn in (K p odd here, so
-    paths split Box-Muller pairs)."""
-    K, p = 7, 1
-    full = _normals(11, _STEPPING, 0, 9 * K * p).reshape(9, K, p)
+def test_stepping_increments_are_path_slices_of_the_rows():
+    """Step k of path q is normals [q p, (q+1) p) of row k, scaled by
+    sqrt(dt), whatever block of paths it is drawn in and however many
+    steps the run has (p odd here, so paths split Box-Muller pairs)."""
+    p = 3
+    full = _normals(11, _STEPPING, 0, 9 * p, rows=7).reshape(7, 9, p)
     for first, count in [(0, 9), (1, 3), (4, 1), (5, 4)]:
-        dw = brownian_increments(11, first, count, K, p, 0.25)
-        assert dw.shape == (K, count, p)
-        assert np.array_equal(dw, full[first:first + count].swapaxes(0, 1) * 0.5)
+        for K in (7, 4, 1):
+            dw = brownian_increments(11, range(first, first + count), K, p, 0.25)
+            assert dw.shape == (K, count, p)
+            assert np.array_equal(dw, full[:K, first:first + count] * 0.5)
+
+
+def test_runs_of_different_lengths_on_disjoint_paths_share_no_normal(monkeypatch):
+    """A drifted parabolic solve evaluates its nodes on consecutive blocks
+    of paths at falling step counts, and adds their variances as if they
+    were independent: no stepping normal may be read by two nodes."""
+    from kolmotk import QuadratureScheme, ScalarField, solve_parabolic
+
+    drawn = []
+
+    def recording(*args, **kwargs):
+        z = _normals(*args, **kwargs)
+        drawn.append(z.ravel())
+        return z
+
+    monkeypatch.setattr(simulate, "_normals", recording)
+    f = ScalarField.cosine([1.0, 0.5])
+    scheme = QuadratureScheme.build(1.0, 1.0, nodes_per_panel=3, paths_per_node=6)
+    solve_parabolic(SPEC_NL, f, lambda s: f, 0.2, np.zeros(2), scheme, 3)
+    z = np.concatenate(drawn)
+    assert z.size > 7 * 6 * 32  # every node of the solve was recorded
+    assert np.unique(z).size == z.size
 
 
 def test_stepping_stream_values_are_pinned():
-    """The stepping region's values, at even and odd offsets, are fixed."""
-    assert [repr(float(z)) for z in _normals(7, _STEPPING, 3, 3)] == [
+    """The stepping region's values, at even and odd offsets and in a later
+    row, are fixed."""
+    assert [repr(float(z)) for z in _normals(7, _STEPPING, 3, 3)[0]] == [
         "-1.4802541989664335", "0.061722406747844544", "-0.30527242042931957"]
-    assert [repr(float(z)) for z in _normals(2**63 + 5, _STEPPING, 10, 2)] == [
+    assert [repr(float(z)) for z in _normals(2**63 + 5, _STEPPING, 10, 2)[0]] == [
         "-0.5635161250733196", "-0.7918758545610839"]
+    assert [repr(float(z)) for z in _normals(7, _STEPPING + 500 * _ROW, 1, 3)[0]] == [
+        "-1.1168648731871234", "1.2764620118817946", "0.41666382225339776"]
 
 
 def test_exact_stream_values_are_pinned():
@@ -267,9 +306,9 @@ def test_exact_stream_is_standard_normal_and_apart_from_stepping():
     """Both regions of the key [0, seed] have N(0, 1) moments, and the exact
     region shares no normal with the stepping region's first 1000."""
     for region in (_STEPPING, _EXACT):
-        z = _normals(3, region, 0, 200000)
+        z = _normals(3, region, 0, 200000)[0]
         sd = 1.0 / math.sqrt(len(z))
         assert np.all(np.isfinite(z))
         assert abs(z.mean()) < 5 * sd and abs(z.var() - 1.0) < 5 * math.sqrt(2) * sd
-    exact, stepping = _exact_normals(7, 0, 1000), _normals(7, _STEPPING, 0, 1000)
+    exact, stepping = _exact_normals(7, 0, 1000), _normals(7, _STEPPING, 0, 1000)[0]
     assert not np.any(np.isin(exact, stepping))
