@@ -126,7 +126,7 @@ def _stencils(dec: KalmanDecomposition, box, seed, budget):
     x, v, r = np.empty((budget, n)), np.empty((budget, n)), np.empty(budget)
     todo = np.arange(budget)
     for c in range(_CANDIDATES):
-        u = _indexed_uniforms(seed, _STENCIL + c * _ROW, 0, (todo[-1] + 1) * K)
+        u = next(_indexed_uniforms(seed, _STENCIL + c * _ROW, 0, (todo[-1] + 1) * K))
         u = u.reshape(-1, K)[todo]
         h = np.minimum((u[:, 0] * (dec.k + 1)).astype(int), dec.k)  # u (k+1) may round up
         rc = np.exp(np.log(SCALE_MIN) * u[:, 1])

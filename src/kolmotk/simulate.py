@@ -16,7 +16,10 @@ X it returns), ``girsanov_endpoints`` the linear reference path Z and its
 Girsanov log-weight.  With F == 0 the two paths are the same arithmetic,
 so X == Z is exact, and results are bit-identical however paths are
 chunked across threads.  Each stepper is one private generator of its
-states, fed noise blocks; ``simulate_bundle`` stacks every state of one
+states, fed noise blocks; handed a private ``_Pair`` K as ``steps``, a
+stepper also runs the coarse twin of K/2 steps on the pair-summed rows of
+the same draw, which the extrapolated estimates in ``semigroup`` read.
+``simulate_bundle`` stacks every state of one
 path, so a dumped path is the arithmetic the estimators run, and
 ``deterministic_flow`` is the X stepper fed zero noise.  The exact F == 0
 law takes no steps: path p owns normals [p n, (p+1) n) of its region.
@@ -80,18 +83,17 @@ class PathBundle:
 
 
 def _indexed_uniforms(seed, counter, first, count, rows=1):
-    """Uniforms ((word >> 11) + 0.5) 2^-53, strictly inside (0, 1), shape
-    (rows, count): row j holds raw words [first, first + count) of Philox
-    with key [0, seed] from ``counter`` + j _ROW, reached by ``advance``."""
+    """Uniforms ((word >> 11) + 0.5) 2^-53, strictly inside (0, 1), one
+    (count,) row at a time: row j holds raw words [first, first + count) of
+    Philox with key [0, seed] from ``counter`` + j _ROW, reached by ``advance``."""
     if first < 0:  # a negative path index would wrap the counter
         raise ValueError(f"stream index {first} < 0: path indices must be >= 0")
     bits = np.random.Philox(key=int(seed) << 64, counter=counter).advance(first // 4)
     m = int(first % 4 + count)
-    raw = np.empty((rows, count), dtype=np.uint64)
-    for row in raw:
-        row[:] = bits.random_raw(m)[first % 4:]
+    for _ in range(rows):
+        raw = bits.random_raw(m)[first % 4:]
         bits.advance(_ROW - (m + 3) // 4)  # random_raw moved the counter ceil(m / 4)
-    return ((raw >> 11) + 0.5) * 2.0**-53
+        yield ((raw >> 11) + 0.5) * 2.0**-53
 
 
 def _box_muller(u):
@@ -103,10 +105,16 @@ def _box_muller(u):
 def _normals(seed, counter, first, count, rows=1):
     """Normals [first, first + count) of each of ``rows`` rows from
     ``counter`` (a region, plus a first row): the Box-Muller normals of
-    their indexed words, shape (rows, count)."""
+    their indexed words, shape (rows, count), written a row at a time, so a
+    draw holds one row of temporaries beside its output."""
     w0, end = first - first % 2, first + count + (first + count) % 2
-    z = _box_muller(_indexed_uniforms(seed, counter, w0, end - w0, rows))
-    return z[:, first - w0:][:, :count]
+    try:
+        out = np.empty((rows, count))
+    except ValueError as exc:  # beyond numpy's index range: no allocation can hold it
+        raise MemoryError(f"cannot allocate rows of {count} normals: {exc}") from None
+    for row, u in zip(out, _indexed_uniforms(seed, counter, w0, end - w0, rows)):
+        row[:] = _box_muller(u)[first - w0:][:count]
+    return out
 
 
 def brownian_increments(seed, paths, steps, p, dt):
@@ -114,7 +122,8 @@ def brownian_increments(seed, paths, steps, p, dt):
     ``steps``-step run: step k of path q is normals [q p, (q+1) p) of row k
     of the stepping region, scaled by sqrt(dt)."""
     z = _normals(seed, _STEPPING, paths[0] * p, len(paths) * p, steps)
-    return z.reshape(steps, len(paths), p) * np.sqrt(dt)
+    z *= np.sqrt(dt)
+    return z.reshape(steps, len(paths), p)
 
 
 # --- exact linear sampling --------------------------------------------------
@@ -135,22 +144,41 @@ def sample_ou_endpoints(spec: OperatorSpec, x, t: float, size: int, rng: np.rand
 # --- exponential Euler ------------------------------------------------------
 
 
-def _stepping(spec: OperatorSpec, t, steps, seed, ids):
-    """What a stepper is handed for these paths: dt, e^{dtA} and their
-    noise blocks."""
+class _Pair(int):
+    """An even fine step count K that asks a stepper for a coupled pair:
+    its outputs after K steps, then those of the coarse run of K/2 steps at
+    2 dt on the pair-summed increments of the same draw, stacked along the
+    starts axis.  It is an int, so ``steps`` still counts the fine steps."""
+
+
+def _levels(steps, dW):
+    """(steps, increments) of each run on one draw dW (steps, c, p_tilde):
+    the run itself and, for a _Pair, its coarse twin."""
+    yield steps, dW
+    if isinstance(steps, _Pair):
+        yield steps // 2, dW[0::2] + dW[1::2]
+
+
+def _stacked(runs):
+    """One run's outputs, or each output of every run joined along the starts axis."""
+    return runs[0] if len(runs) == 1 else tuple(np.concatenate(r) for r in zip(*runs))
+
+
+def _stepping(spec: OperatorSpec, t, steps, dW):
+    """What a stepper is handed for a run of ``steps`` steps on the
+    increments dW: dt, e^{dtA} and their noise blocks."""
     dt = t / steps
     eAdt = matrix_exp(spec.A, dt)
-    return dt, eAdt, _noise_blocks(eAdt @ spec.Q_sqrt[:, :spec.p_tilde], dt, steps, seed, ids)
+    return dt, eAdt, _noise_blocks(eAdt @ spec.Q_sqrt[:, :spec.p_tilde], dW)
 
 
-def _noise_blocks(eAS, dt, steps, seed, ids):
-    """Per block of at most BLOCK steps of the consecutive paths ``ids``: the
-    increments dW (step, path, p_tilde) and the noise eAS dW (step, path, n)
-    they add to a step.  The noise of every block is written into one
-    buffer, so a block is valid only until the next one is drawn."""
-    dW = brownian_increments(seed, ids, steps, eAS.shape[1], dt)
-    noise = np.empty((min(BLOCK, steps), len(ids), len(eAS)))
-    for k in range(0, steps, BLOCK):
+def _noise_blocks(eAS, dW):
+    """Per block of at most BLOCK steps of the increments dW (step, path,
+    p_tilde): dW and the noise eAS dW (step, path, n) they add to a step.
+    The noise of every block is written into one buffer, so a block is
+    valid only until the next one is drawn."""
+    noise = np.empty((min(BLOCK, len(dW)), dW.shape[1], len(eAS)))
+    for k in range(0, len(dW), BLOCK):
         dw = dW[k:k + BLOCK]
         yield dw, np.matmul(dw, eAS.T, out=noise[:len(dw)])
 
@@ -179,10 +207,13 @@ def _x_steps(spec, X, dt, eAdt, blocks, with_variation):
 def _x_chunk(spec, x0s, t, steps, seed, ids, with_variation):
     """X (m, c, n) at t for every start in x0s and, if asked, eta (m, c, n, n)."""
     X0 = np.repeat(x0s, len(ids), axis=0)
-    for X, V in _x_steps(spec, X0, *_stepping(spec, t, steps, seed, ids), with_variation):
-        pass
-    X = X.reshape(len(x0s), len(ids), spec.n)
-    return (X, V.reshape(X.shape + (spec.n,)).swapaxes(2, 3)) if with_variation else (X,)
+    runs = []
+    for k, dW in _levels(steps, brownian_increments(seed, ids, steps, spec.p_tilde, t / steps)):
+        for X, V in _x_steps(spec, X0, *_stepping(spec, t, k, dW), with_variation):
+            pass
+        X = X.reshape(len(x0s), len(ids), spec.n)
+        runs.append((X, V.reshape(X.shape + (spec.n,)).swapaxes(2, 3)) if with_variation else (X,))
+    return _stacked(runs)
 
 
 def _z_blocks(spec, Z, dt, eAdt, blocks):
@@ -204,12 +235,15 @@ def _log_weight(G, dw, dt):
 
 def _z_chunk(spec, x0s, t, steps, seed, ids):
     """Z (m, c, n) at t and log_phi (m, c)."""
-    logphi = np.zeros((len(x0s), len(ids)))
     Z0 = np.repeat(x0s[:, None, :], len(ids), axis=1)
-    for Zs, G, dw, Z in _z_blocks(spec, Z0, *_stepping(spec, t, steps, seed, ids)):
-        logphi += _log_weight(G, dw, t / steps)
-        del Zs  # free this block's points before the next block allocates its own
-    return Z, logphi
+    runs = []
+    for k, dW in _levels(steps, brownian_increments(seed, ids, steps, spec.p_tilde, t / steps)):
+        logphi = np.zeros((len(x0s), len(ids)))
+        for Zs, G, dw, Z in _z_blocks(spec, Z0, *_stepping(spec, t, k, dW)):
+            logphi += _log_weight(G, dw, t / k)
+            del Zs  # free this block's points before the next block allocates its own
+        runs.append((Z, logphi))
+    return _stacked(runs)
 
 
 def _run_chunks(kernel, spec, x0s, t, steps, seed, n_paths, path_offset, threads, *args):
@@ -282,10 +316,12 @@ def simulate_bundle(spec: OperatorSpec, x, grid: PathGrid, seed: int, path_id: i
     """Full record of one path: Z, X and the running log-weight after every
     step, stacked from what the endpoint steppers yield for that path."""
     x0 = np.asarray(x, dtype=float)
-    args = (spec, grid.t_end, grid.steps, seed, range(int(path_id), int(path_id) + 1))
-    X = np.stack([x0] + [Xk[0] for Xk, _ in _x_steps(spec, x0[None], *_stepping(*args), False)])
+    ids = range(int(path_id), int(path_id) + 1)
+    run = (spec, grid.t_end, grid.steps, brownian_increments(seed, ids, grid.steps, spec.p_tilde,
+                                                             grid.dt))
+    X = np.stack([x0] + [Xk[0] for Xk, _ in _x_steps(spec, x0[None], *_stepping(*run), False)])
     Z, dlog = [], [0.0]
-    for Zs, G, dw, Zk in _z_blocks(spec, x0[None, None], *_stepping(*args)):
+    for Zs, G, dw, Zk in _z_blocks(spec, x0[None, None], *_stepping(*run)):
         Z.append(Zs[:, 0, 0])
         dlog += [_log_weight(G[k:k + 1], dw[k:k + 1], grid.dt)[0, 0] for k in range(len(G))]
     return PathBundle(grid, np.concatenate(Z + [Zk[0]]), X, np.cumsum(dlog), int(path_id))

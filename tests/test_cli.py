@@ -186,6 +186,14 @@ RUN_OVERFLOWS = {
     "huge-wave": ("evaluate", {"operator": OP_NL, "t": 0.5, "steps": 64,
                                "field": {"type": "cos", "w": [1e308, 1e308]}}),
     "zero-drift": ("evaluate", {"operator": OP_2D, "t": 1000, "field": COS}),
+    # no steps: the drifted default's step count cannot be allocated, or overflows
+    "default-steps-direct": ("evaluate", {"operator": OP_NL, "t": 1e300, "field": COS}),
+    "default-steps-girsanov": ("evaluate", {"operator": OP_NL, "t": 1e300, "field": COS,
+                                            "method": "girsanov"}),
+    "default-steps-overflow": ("evaluate", {"operator": OP_NL, "t": 1e308, "field": COS}),
+    "default-steps-parabolic": ("solve", {"operator": OP_NL, "t": 1e300,
+                                          "fields": [COS, {"type": "const", "value": 1.0}]}),
+    "default-steps-tiny-lambda": ("solve", {"operator": OP_NL, "lambda": 1e-310, "field": COS}),
 }
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kolmotk import semigroup
+from kolmotk import semigroup, simulate
 from kolmotk import (
     DriftField,
     DriftTerm,
@@ -283,3 +283,80 @@ def test_fd_derivative_of_linear_field_shares_noise():
         est = derivative_estimate(SPEC_OU, linear, t, X0, (i,), 2000, 5)
         assert np.isclose(est.mean, a @ matrix_exp(SPEC_OU.A, t)[:, i - 1], rtol=1e-9)
         assert est.stderr < 1e-10
+
+
+def _by_hand(spec, x, t, n_paths, seed, method, coord=0):
+    """Mean and stderr of the per-path 2 g_K - g_{K/2}, stepped here on one
+    draw of K rows through the private generators: g_K on the rows, g_{K/2}
+    on their pair sums."""
+    K = semigroup._pair_steps(t)
+    dW = simulate.brownian_increments(seed, range(n_paths), K, spec.p_tilde, t / K)
+    g = []
+    for k, dw in ((K, dW), (K // 2, dW[0::2] + dW[1::2])):
+        dt, eAdt, blocks = simulate._stepping(spec, t, k, dw)
+        if method == "girsanov":
+            logphi = 0.0
+            for _, G, d, Z in simulate._z_blocks(spec, np.tile(x, (1, n_paths, 1)), dt, eAdt,
+                                                 blocks):
+                logphi = logphi + simulate._log_weight(G, d, dt)
+            g.append(COS(Z[0]) * np.exp(logphi[0]))
+            continue
+        for X, V in simulate._x_steps(spec, np.tile(x, (n_paths, 1)), dt, eAdt, blocks,
+                                      method == "pathwise"):
+            pass
+        if method == "direct":
+            g.append(COS(X))
+        else:
+            eta = V.reshape(n_paths, spec.n, spec.n).swapaxes(1, 2)
+            g.append(np.einsum("pn,pn->p", COS.grad(X), eta[:, :, coord]))
+    v = 2.0 * g[0] - g[1]
+    return v.mean(), v.std(ddof=1) / math.sqrt(n_paths)
+
+
+@pytest.mark.parametrize("method", ["direct", "girsanov", "pathwise"])
+def test_drifted_default_extrapolates_a_coupled_pair(method):
+    """Without steps, a drifted estimate is the mean of the per-path values
+    2 g_K - g_{K/2}, and its stderr is theirs, bitwise."""
+    t, n_paths, seed = 0.4, 700, 9
+    if method == "pathwise":
+        est = derivative_estimate(SPEC_NL, COS, t, X0, (2,), n_paths, seed, method="pathwise")
+    else:
+        est = evaluate(SPEC_NL, COS, t, X0, n_paths, seed, method=method)
+    assert (est.mean, est.stderr) == _by_hand(SPEC_NL, X0, t, n_paths, seed, method, coord=1)
+
+
+def test_drifted_default_independent_of_threads_and_offsets():
+    """The extrapolated estimates are bitwise the same at threads 1 and 8,
+    and paths 0..99 then 100..199 are the paths of one run of 200, at both
+    levels of the pair."""
+    runs = {th: [evaluate(SPEC_NL, COS, 0.3, X0, 9000, 5, method=m, threads=th)
+                 for m in ("direct", "girsanov")]
+            + [derivative_estimate(SPEC_NL, COS, 0.3, X0, mi, 9000, 5, method=m, threads=th)
+               for m, mi in (("pathwise", (1,)), ("fd", (1, 2)))]
+            for th in (1, 8)}
+    assert runs[1] == runs[8]
+    seen = []
+    f = ScalarField.from_callable(lambda X: seen.append(X) or np.cos(X[..., 0]), 2)
+    for method in ("direct", "girsanov"):
+        seen.clear()
+        ests = [evaluate(SPEC_NL, f, 0.3, X0, b, 11, method=method, path_offset=off)
+                for b, off in ((200, 0), (100, 0), (100, 100))]
+        whole, first, second = seen[:2], seen[2:4], seen[4:]
+        for level in (0, 1):  # the fine run, then the coarse one
+            assert np.array_equal(whole[level], np.concatenate([first[level], second[level]]))
+        assert ests[0].mean == pytest.approx((ests[1].mean + ests[2].mean) / 2, rel=1e-12)
+
+
+def test_explicit_steps_keep_the_plain_estimator():
+    """An explicit step count runs one plain exponential-Euler estimate: these
+    are the values the library gave before the extrapolated default."""
+    ests = [evaluate(SPEC_NL, COS, 0.3, X0, 300, 5, method=m, steps=40)
+            for m in ("direct", "girsanov")]
+    ests += [derivative_estimate(SPEC_NL, COS, 0.3, X0, mi, 300, 5, method=m, steps=40)
+             for m, mi in (("pathwise", (2,)), ("fd", (1, 2)))]
+    assert [(e.mean.hex(), e.stderr.hex()) for e in ests] == [
+        ("0x1.8ddb249c310b8p-1", "0x1.0481c172f6b02p-6"),
+        ("0x1.8bbc5f7bb1cfdp-1", "0x1.77ad4f4877b04p-7"),
+        ("-0x1.bcc66e553eecbp-4", "0x1.9d653d28253cbp-6"),
+        ("-0x1.bdccaf6048952p-1", "0x1.618155ad6c143p-6"),
+    ]

@@ -19,7 +19,7 @@ from kolmotk import (
     write_path_csv,
 )
 from kolmotk import simulate
-from kolmotk.simulate import _EXACT, _ROW, _STEPPING, _normals, brownian_increments
+from kolmotk.simulate import _EXACT, _ROW, _STEPPING, _Pair, _normals, brownian_increments
 
 SPEC_OU = OperatorSpec(n=2, p_tilde=1, Q0=[[1.0]], A=[[0.0, 0.0], [1.0, 1.0]],
                        F=DriftField())
@@ -92,6 +92,43 @@ def test_drifted_steppers_independent_of_threads_and_offsets(stepper):
         assert np.array_equal(u, v)
     for u, v, w in zip(outputs(100), outputs(100, path_offset=100), outputs(200)):
         assert np.array_equal(np.concatenate([u, v], axis=1), w)
+
+
+@pytest.mark.parametrize("stepper", [simulate_endpoints, girsanov_endpoints])
+def test_coupled_pair_rides_one_draw(stepper, monkeypatch):
+    """Given a _Pair K, a stepper draws K rows once per chunk: the fine run
+    steps them and the coarse run steps dW[0::2] + dW[1::2] of the same
+    draw.  The fine half is the plain K-step run, and the coarse half stacks
+    after it along the starts axis."""
+    handed = []
+    for name in ("_x_steps", "_z_blocks"):
+        def recorded(spec, Z, dt, eAdt, blocks, *args, _fn=getattr(simulate, name)):
+            blocks = list((dw.copy(), noise.copy()) for dw, noise in blocks)
+            handed.append(np.concatenate([dw for dw, _ in blocks]))
+            return _fn(spec, Z, dt, eAdt, iter(blocks), *args)
+        monkeypatch.setattr(simulate, name, recorded)
+    draws = []
+
+    def drawn(*args):
+        draws.append(brownian_increments(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(simulate, "brownian_increments", drawn)
+    starts, K, n_paths = np.array([[0.1, -0.2], [0.0, 0.3]]), 130, 5000
+    pair = stepper(SPEC_NL, starts, 0.3, _Pair(K), 5, n_paths)
+    assert len(draws) == 2 and len(handed) == 4  # two chunks, two runs each
+    for dW, (fine, coarse) in zip(draws, (handed[:2], handed[2:])):
+        assert dW.shape[0] == K
+        assert np.array_equal(fine, dW)
+        assert np.array_equal(coarse, dW[0::2] + dW[1::2])
+    monkeypatch.undo()
+    pair = pair if isinstance(pair, tuple) else (pair,)
+    plain = stepper(SPEC_NL, starts, 0.3, K, 5, n_paths)
+    plain = plain if isinstance(plain, tuple) else (plain,)
+    for p, q in zip(pair, plain):
+        assert p.shape[0] == 2 * len(starts)
+        assert np.array_equal(p[:len(starts)], q)
+        assert not np.allclose(p[len(starts):], q)
 
 
 @pytest.mark.parametrize("stepper", [simulate_endpoints, girsanov_endpoints])
