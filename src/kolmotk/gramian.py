@@ -8,17 +8,19 @@ which matches the law of the zero-start linear diffusion (the transposed
 orientation that sometimes appears in display form is singular on the
 worked 2-D example, so this orientation is used throughout).
 
-Two representations coexist, each from one Van Loan block exponential:
-
-* the assembled n x n matrix;
-* a scaled factorization G_hat = D_t^{-1} B' Q_t B D_t^{-1}, where B is the
-  Kalman reference basis and D_t carries the per-block exponents
-  t^{(2h+1)/2}.  G_hat is the time-1 Gramian of A_hat = t D_t^{-1} B'AB D_t
-  and Q_hat = t D_t^{-1} B'QB D_t^{-1}, both O(1) as t -> 0 because B'AB is
-  block-Hessenberg in the Kalman grading.  G_hat stays well conditioned as
-  t -> 0, which is what makes whitened norms and sampling factors accurate
-  deep into the small-time regime where the raw matrix has eigenvalues far
-  below machine precision relative to its trace.
+One Van Loan block exponential per time gives the whole linear law
+N(e^{tA} x, Q_t).  ``gramian`` takes it of the scaled pair
+A_hat = t D_t^{-1} B'AB D_t and Q_hat = t D_t^{-1} B'QB D_t^{-1}, where B is
+the Kalman reference basis and D_t carries the per-block exponents
+t^{(2h+1)/2}; both are O(1) as t -> 0 because B'AB is block-Hessenberg in
+the Kalman grading.  Its blocks give the time-1 law (e^{A_hat}, G_hat), and
+two maps the law at t: Q_t = B D_t G_hat D_t B' and
+e^{tA} = B D_t e^{A_hat} D_t^{-1} B'.  The scaled factorization G_hat stays
+well conditioned as t -> 0, which is what makes whitened norms, sampling
+factors and the small entries of Q_t accurate deep into the small-time
+regime where the raw matrix has eigenvalues far below machine precision
+relative to its trace.  ``_law`` forms the same pair from the unscaled A
+and Q, with no basis maps.
 """
 
 from __future__ import annotations
@@ -46,11 +48,12 @@ TMIN = 1e-4
 _EPS = np.finfo(float).eps
 
 
-def _van_loan(A, Q, t: float) -> np.ndarray:
-    """int_0^t e^{sA} Q e^{sA'} ds from one block exponential at t / 2^m and
-    m doublings Q_{2s} = Q_s + e^{sA} Q_s e^{sA'}.  The doublings add
-    positive terms where the blocks of e^{tH} alone would cancel once A has
-    eigenvalues on both sides of the imaginary axis and t ||A|| is large."""
+def _van_loan(A, Q, t: float):
+    """(e^{tA}, int_0^t e^{sA} Q e^{sA'} ds) from one block exponential at
+    t / 2^m and m doublings Q_{2s} = Q_s + e^{sA} Q_s e^{sA'}, e^{2sA} =
+    (e^{sA})^2.  The doublings add positive terms where the blocks of e^{tH}
+    alone would cancel once A has eigenvalues on both sides of the imaginary
+    axis and t ||A|| is large."""
     n = A.shape[0]
     m = int(np.ceil(np.log2(max(t * np.linalg.norm(A, 1), 1.0))))
     H = np.zeros((2 * n, 2 * n))
@@ -63,7 +66,7 @@ def _van_loan(A, Q, t: float) -> np.ndarray:
     for _ in range(m):
         Qt = Qt + eA @ Qt @ eA.T
         eA = eA @ eA
-    return 0.5 * (Qt + Qt.T)
+    return eA, 0.5 * (Qt + Qt.T)
 
 
 def gramian_quadrature(spec: OperatorSpec, t: float) -> np.ndarray:
@@ -91,39 +94,43 @@ def gramian_quadrature(spec: OperatorSpec, t: float) -> np.ndarray:
     return 0.5 * (prev + prev.T)
 
 
-def _scaled_gramian(spec: OperatorSpec, dec: KalmanDecomposition, t: float, exps):
-    """G_hat for the per-coordinate exponents ``exps``, (2h+1)/2."""
+def _scaled_law(spec: OperatorSpec, dec: KalmanDecomposition, t: float, exps):
+    """(e^{tA}, Q_t, G_hat) from the time-1 law of (A_hat, Q_hat) for the
+    per-coordinate exponents ``exps``, (2h+1)/2."""
     d = t**exps
     B = dec.basis
     A_hat = t * (B.T @ spec.A @ B) * (d[None, :] / d[:, None])
     Q_hat = t * (B.T @ spec.Q @ B) / np.outer(d, d)
-    return _van_loan(A_hat, Q_hat, 1.0)
+    eA_hat, G_hat = _van_loan(A_hat, Q_hat, 1.0)
+    Qt = (B * d) @ G_hat @ (B * d).T
+    return (B * d) @ eA_hat @ (B / d).T, 0.5 * (Qt + Qt.T), G_hat
 
 
-def _representable(t: float, build, *args) -> np.ndarray:
-    """The Q_t ``build(*args)``, or a KolmotkError if float64 cannot hold it."""
+def _representable(t: float, build, *args) -> tuple:
+    """The arrays ``build(*args)``, or a KolmotkError if float64 cannot hold them."""
     with np.errstate(all="ignore"):
         try:
-            M = build(*args)
+            out = build(*args)
         # an exponential float64 cannot hold, or a doubling count from inf or NaN
         except (OverflowError, ValueError, KolmotkError):
-            M = np.array(np.nan)
-    if not np.isfinite(M).all():
+            out = (np.array(np.nan),)
+    if not all(np.isfinite(M).all() for M in out):
         raise KolmotkError(f"Q_t is not representable in float64 at t={t:g}")
-    return M
+    return out
 
 
-def _covariance(spec: OperatorSpec, t: float) -> np.ndarray:
-    """The assembled n x n Q_t, from one Van Loan exponential."""
+def _law(spec: OperatorSpec, t: float) -> tuple:
+    """(e^{tA}, Q_t) assembled n x n, from one Van Loan exponential."""
     return _representable(t, _van_loan, spec.A, spec.Q, t)
 
 
 @dataclass(frozen=True)
 class Gramian:
-    """Q_t with both the assembled matrix and the scaled factorization."""
+    """The law at t: Q_t assembled and as its scaled factorization, and e^{tA}."""
 
     t: float
     matrix: np.ndarray
+    exp: np.ndarray  # e^{tA}
     dec: KalmanDecomposition
     scaled: np.ndarray  # G_hat in the reference basis
     scaled_eig: tuple  # (raw eigenvalues, eigenvectors) of G_hat
@@ -163,16 +170,17 @@ class Gramian:
 
 
 def gramian(spec: OperatorSpec, t: float, dec: KalmanDecomposition | None = None) -> Gramian:
-    """Q_t and its scaled factorization, one block exponential each."""
+    """Q_t, its scaled factorization and e^{tA}, from one block exponential."""
     if t <= 0.0:
         raise ValueError("t must be positive")
     if dec is None:
         dec = spec.decomposition()
     exps = np.repeat(np.arange(dec.k + 1) + 0.5, dec.block_dims)
-    scaled = _representable(t, _scaled_gramian, spec, dec, t, exps)
+    eA, matrix, scaled = _representable(t, _scaled_law, spec, dec, t, exps)
     return Gramian(
         t=float(t),
-        matrix=_covariance(spec, t),
+        matrix=matrix,
+        exp=eA,
         dec=dec,
         scaled=scaled,
         scaled_eig=tuple(np.linalg.eigh(scaled)),
@@ -180,18 +188,11 @@ def gramian(spec: OperatorSpec, t: float, dec: KalmanDecomposition | None = None
     )
 
 
-def whitened_direction_norm(
-    spec: OperatorSpec,
-    dec: KalmanDecomposition,
-    t: float,
-    i: int,
-    gram: Gramian | None = None,
-) -> float:
+def whitened_direction_norm(spec: OperatorSpec, dec: KalmanDecomposition, t: float,
+                            i: int) -> float:
     """|Q_t^{-1/2} e^{tA} e_i| for the 1-based coordinate i."""
-    if gram is None:
-        gram = gramian(spec, t, dec)
-    v = matrix_exp(spec.A, t)[:, i - 1]
-    return gram.whitened_norm(v)
+    gram = gramian(spec, t, dec)
+    return gram.whitened_norm(gram.exp[:, i - 1])
 
 
 def _block_norm(dec: KalmanDecomposition, E, h: int, h_from: int) -> float:

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularGramian
-from .gramian import TMIN, _covariance
+from .gramian import TMIN, _law, gramian
 from .holder import ScalarField
-from .operators import OperatorSpec, matrix_exp
+from .operators import OperatorSpec
 from .simulate import (_EXACT, _Pair, _gaussian_endpoints, _normals, girsanov_endpoints,
                        simulate_endpoints)
 
@@ -97,11 +97,12 @@ def _endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=0, threads=1,
                                  threads=threads, with_variation=with_variation)
         return out if with_variation else (out,)
     xi = _normals(seed, _EXACT, path_offset * spec.n, n_paths * spec.n).reshape(n_paths, spec.n)
-    X = _gaussian_endpoints(spec, x0s, t, xi)
+    g = gramian(spec, t)
+    X = _gaussian_endpoints(g, x0s, xi)
     if method == "girsanov":
         return X, np.zeros(X.shape[:2])
     if with_variation:
-        return X, np.broadcast_to(matrix_exp(spec.A, t), X.shape + (spec.n,))
+        return X, np.broadcast_to(g.exp, X.shape + (spec.n,))
     return (X,)
 
 
@@ -382,7 +383,7 @@ def cosine_propagator(spec: OperatorSpec, f: ScalarField, times, weights) -> Sca
         if t == 0.0:
             eA, Qt = np.eye(spec.n), np.zeros((spec.n, spec.n))
         else:
-            eA, Qt = matrix_exp(spec.A, t), _covariance(spec, t)
+            eA, Qt = _law(spec, t)
         coeffs.append(weight * f.coeffs * np.exp(-0.5 * np.einsum("jm,mn,jn->j", W, Qt, W)))
         waves.append(W @ eA)
     return ScalarField.mixture(np.concatenate(coeffs), np.vstack(waves), box=f.box)

@@ -129,16 +129,17 @@ def brownian_increments(seed, paths, steps, p, dt):
 # --- exact linear sampling --------------------------------------------------
 
 
-def _gaussian_endpoints(spec: OperatorSpec, x0s, t: float, xi):
-    """The exact F == 0 endpoints e^{tA} x + S xi with S S' = Q_t, shape
-    (m, len(xi), n): the normals xi (N, n) are shared by every start in x0s."""
-    X = (np.atleast_2d(x0s) @ matrix_exp(spec.A, t).T)[:, None, :]
-    return X + xi @ gramian(spec, t).sqrt_factor().T
+def _gaussian_endpoints(g, x0s, xi):
+    """The exact F == 0 endpoints e^{tA} x + S xi with S S' = Q_t, both read
+    from the Gramian g at t, shape (m, len(xi), n): the normals xi (N, n)
+    are shared by every start in x0s."""
+    X = (np.atleast_2d(x0s) @ g.exp.T)[:, None, :]
+    return X + xi @ g.sqrt_factor().T
 
 
 def sample_ou_endpoints(spec: OperatorSpec, x, t: float, size: int, rng: np.random.Generator):
     """Exact-in-distribution batch of linear endpoints, shape (size, n)."""
-    return _gaussian_endpoints(spec, x, t, rng.standard_normal((size, spec.n)))[0]
+    return _gaussian_endpoints(gramian(spec, t), x, rng.standard_normal((size, spec.n)))[0]
 
 
 # --- exponential Euler ------------------------------------------------------
@@ -157,11 +158,6 @@ def _levels(steps, dW):
     yield steps, dW
     if isinstance(steps, _Pair):
         yield steps // 2, dW[0::2] + dW[1::2]
-
-
-def _stacked(runs):
-    """One run's outputs, or each output of every run joined along the starts axis."""
-    return runs[0] if len(runs) == 1 else tuple(np.concatenate(r) for r in zip(*runs))
 
 
 def _stepping(spec: OperatorSpec, t, steps, dW):
@@ -204,16 +200,14 @@ def _x_steps(spec, X, dt, eAdt, blocks, with_variation):
             yield X, V
 
 
-def _x_chunk(spec, x0s, t, steps, seed, ids, with_variation):
-    """X (m, c, n) at t for every start in x0s and, if asked, eta (m, c, n, n)."""
-    X0 = np.repeat(x0s, len(ids), axis=0)
-    runs = []
-    for k, dW in _levels(steps, brownian_increments(seed, ids, steps, spec.p_tilde, t / steps)):
-        for X, V in _x_steps(spec, X0, *_stepping(spec, t, k, dW), with_variation):
-            pass
-        X = X.reshape(len(x0s), len(ids), spec.n)
-        runs.append((X, V.reshape(X.shape + (spec.n,)).swapaxes(2, 3)) if with_variation else (X,))
-    return _stacked(runs)
+def _x_run(spec, x0s, t, steps, dW, with_variation):
+    """X (m, c, n) at t after ``steps`` steps on dW (steps, c, p_tilde) for
+    every start in x0s and, if asked, eta (m, c, n, n)."""
+    for X, V in _x_steps(spec, np.repeat(x0s, dW.shape[1], axis=0),
+                         *_stepping(spec, t, steps, dW), with_variation):
+        pass
+    X = X.reshape(len(x0s), dW.shape[1], spec.n)
+    return (X, V.reshape(X.shape + (spec.n,)).swapaxes(2, 3)) if with_variation else (X,)
 
 
 def _z_blocks(spec, Z, dt, eAdt, blocks):
@@ -233,22 +227,21 @@ def _log_weight(G, dw, dt):
     return np.einsum("bmcp,bcp->mc", G, dw) - 0.5 * dt * np.einsum("bmcp,bmcp->mc", G, G)
 
 
-def _z_chunk(spec, x0s, t, steps, seed, ids):
-    """Z (m, c, n) at t and log_phi (m, c)."""
-    Z0 = np.repeat(x0s[:, None, :], len(ids), axis=1)
-    runs = []
-    for k, dW in _levels(steps, brownian_increments(seed, ids, steps, spec.p_tilde, t / steps)):
-        logphi = np.zeros((len(x0s), len(ids)))
-        for Zs, G, dw, Z in _z_blocks(spec, Z0, *_stepping(spec, t, k, dW)):
-            logphi += _log_weight(G, dw, t / k)
-            del Zs  # free this block's points before the next block allocates its own
-        runs.append((Z, logphi))
-    return _stacked(runs)
+def _z_run(spec, x0s, t, steps, dW):
+    """Z (m, c, n) at t and log_phi (m, c) after ``steps`` steps on dW."""
+    logphi = np.zeros((len(x0s), dW.shape[1]))
+    for Zs, G, dw, Z in _z_blocks(spec, np.repeat(x0s[:, None, :], dW.shape[1], axis=1),
+                                  *_stepping(spec, t, steps, dW)):
+        logphi += _log_weight(G, dw, t / steps)
+        del Zs  # free this block's points before the next block allocates its own
+    return Z, logphi
 
 
 def _run_chunks(kernel, spec, x0s, t, steps, seed, n_paths, path_offset, threads, *args):
-    """``kernel`` over the fixed chunks of paths, each output joined along
-    the path axis; chunking does not depend on ``threads``."""
+    """``kernel`` on each run (see ``_levels``) of the increments of each
+    fixed chunk of paths, the runs' outputs joined along the starts axis
+    and the chunks' along the path axis; chunking does not depend on
+    ``threads``."""
     if steps < 1:
         raise ValueError("steps >= 1")
     if n_paths < 1:
@@ -260,7 +253,9 @@ def _run_chunks(kernel, spec, x0s, t, steps, seed, n_paths, path_offset, threads
     ]
 
     def run(ids):
-        return kernel(spec, x0s, t, steps, seed, ids, *args)
+        dW = brownian_increments(seed, ids, steps, spec.p_tilde, t / steps)
+        runs = [kernel(spec, x0s, t, k, dWk, *args) for k, dWk in _levels(steps, dW)]
+        return runs[0] if len(runs) == 1 else tuple(np.concatenate(r) for r in zip(*runs))
 
     if threads > 1 and len(chunks) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -288,7 +283,7 @@ def simulate_endpoints(
     (m, n_paths, n, n).  Chunking is fixed, so the result does not depend
     on ``threads``.
     """
-    out = _run_chunks(_x_chunk, spec, x0s, t, steps, seed, n_paths, path_offset, threads,
+    out = _run_chunks(_x_run, spec, x0s, t, steps, seed, n_paths, path_offset, threads,
                       with_variation)
     return out if with_variation else out[0]
 
@@ -309,7 +304,7 @@ def girsanov_endpoints(
     Returns Z_end of shape (m, n_paths, n) and log_phi of shape
     (m, n_paths); E[f(Z_t) e^{log_phi}] is P_t f.
     """
-    return _run_chunks(_z_chunk, spec, x0s, t, steps, seed, n_paths, path_offset, threads)
+    return _run_chunks(_z_run, spec, x0s, t, steps, seed, n_paths, path_offset, threads)
 
 
 def simulate_bundle(spec: OperatorSpec, x, grid: PathGrid, seed: int, path_id: int = 0) -> PathBundle:

@@ -1,8 +1,8 @@
-import importlib
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kolmotk import (
     DriftField,
@@ -157,29 +157,18 @@ def test_scaled_gramian_matches_quadrature_random_operator(t):
     assert np.allclose(scaled, reference, rtol=1e-9, atol=0.0)
 
 
-def test_van_loan_matches_quadrature_with_spectrum_on_both_sides():
+@pytest.mark.parametrize("t", [1e-4, 1e-3, 10.0])
+def test_van_loan_matches_quadrature_with_spectrum_on_both_sides(t):
     """Eigenvalues -3.0, -0.43 +/- 0.63i and 0.90: at t = 10 the plain block
-    exponential loses seven digits to cancellation; the doublings keep them."""
+    exponential loses seven digits to cancellation; the doublings keep them.
+    At small t the scaled map keeps every entry of Q_t, down to its t^7
+    corner, and e^{tA} to its last digits."""
     A = [[-0.8, 0.25, -1.65, 0.65], [1.3, -0.45, 0.43, 0.25],
          [0.0, 0.9, -2.0, 1.4], [0.0, 0.0, 1.1, 0.28]]
     spec = OperatorSpec(n=4, p_tilde=1, Q0=[[1.5]], A=A, F=DriftField())
-    t = 10.0
-    assert np.allclose(gramian(spec, t).matrix, gramian_quadrature(spec, t), rtol=1e-9, atol=0.0)
+    g = gramian(spec, t)
+    assert np.allclose(g.matrix, gramian_quadrature(spec, t), rtol=1e-9, atol=0.0)
+    expected = scipy.linalg.expm(t * np.array(A))
+    assert np.allclose(g.exp, expected, rtol=1e-9, atol=1e-12 * np.abs(expected).max())
     scaled, reference = _dilated_quadrature(spec, t)
     assert np.allclose(scaled, reference, rtol=1e-9, atol=0.0)
-
-
-def test_gramian_makes_two_matrix_exponentials(monkeypatch):
-    module = importlib.import_module("kolmotk.gramian")
-    calls = []
-    original = module.matrix_exp
-
-    def counting(M, t=1.0):
-        calls.append(t)
-        return original(M, t)
-
-    monkeypatch.setattr(module, "matrix_exp", counting)
-    for t in (1e-3, 0.5, 4.6):
-        calls.clear()
-        gramian(SPEC_3D, t)
-        assert len(calls) == 2

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import kolmotk.operators
 from kolmotk import (
     DriftField,
     DriftTerm,
@@ -14,7 +17,11 @@ from kolmotk import (
     check_gramian_scaling,
     check_parabolic_schauder_ratio,
     check_schauder_ratio,
+    cosine_propagator,
+    derivative_estimate,
+    evaluate,
     fit_exponent,
+    gramian,
     whitened_direction_norm,
 )
 
@@ -159,25 +166,6 @@ def test_parabolic_schauder_ratio():
                                        0.5, (0.5,), budget=10, seed=0)
 
 
-def test_parabolic_schauder_ratio_builds_each_cauchy_field_once(monkeypatch):
-    import kolmotk.semigroup
-
-    calls = []
-
-    def counted(original):
-        def covariance(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
-        return covariance
-
-    monkeypatch.setattr(kolmotk.semigroup, "_covariance", counted(kolmotk.semigroup._covariance))
-    check_parabolic_schauder_ratio(SPEC_2D, SPEC_2D.decomposition(),
-                                   [ScalarField.cosine([1.0, 0.5])], 0.5, (0.5,),
-                                   budget=50, seed=6)
-    # the head P_t g and 32 source nodes, for both budgets
-    assert len(calls) == 33
-
-
 @pytest.mark.parametrize("spec", [SPEC_2D, SPEC_3D, SPEC_4D_P2], ids=["2d", "3d", "4d-p2"])
 def test_scaling_checks_equal_their_per_pair_reference(spec):
     """Each check point is bitwise the public per-pair norm."""
@@ -194,24 +182,41 @@ def test_scaling_checks_equal_their_per_pair_reference(spec):
         assert rep.points == ref or (rep.kind == "vacuous" and max(v for _, v in ref) < 1e-13)
 
 
-def test_scaling_checks_form_one_exponential_per_grid_time(monkeypatch):
-    import kolmotk.verify
+_TS, _SS = np.geomspace(1e-4, 1e-1, 7), np.geomspace(1e-3, 1e-1, 5)
+_COSINE = ScalarField.cosine([1.0, 0.5])
+_EXPONENTIAL_COUNTS = {
+    **{f"gramian-{t:g}": (lambda t=t: gramian(SPEC_3D, t), 1) for t in (1e-3, 0.5, 4.6)},
+    # one per node with t > 0
+    "cosine-propagator": (lambda: cosine_propagator(SPEC_2D, _COSINE, [0.0, 0.1, 0.5],
+                                                    [1.0] * 3), 2),
+    "evaluate-F0": (lambda: evaluate(SPEC_2D, _COSINE, 0.5, [0.1, 0.2], 50, 3), 1),
+    "pathwise-F0": (lambda: derivative_estimate(SPEC_2D, _COSINE, 0.5, [0.1, 0.2], (1,), 50, 3,
+                                                 method="pathwise"), 1),
+    "gramian-scaling": (lambda: check_gramian_scaling(SPEC_4D_P2, SPEC_4D_P2.decomposition(), _TS),
+                        len(_TS)),
+    "exponential-blocks": (lambda: check_exponential_blocks(SPEC_4D_P2, SPEC_4D_P2.decomposition(),
+                                                            _SS), len(_SS)),
+    # the head P_t g and 32 source nodes, each built once for both budgets
+    "parabolic-schauder": (lambda: check_parabolic_schauder_ratio(
+        SPEC_2D, SPEC_2D.decomposition(), [_COSINE], 0.5, (0.5,), budget=50, seed=6), 33),
+}
 
+
+@pytest.mark.parametrize("call, count", _EXPONENTIAL_COUNTS.values(), ids=_EXPONENTIAL_COUNTS)
+def test_one_matrix_exponential_per_semigroup_time(monkeypatch, call, count):
+    """``matrix_exp`` counted at every module that binds it."""
+    original = kolmotk.operators.matrix_exp
     calls = []
 
-    def matrix_exp(M, t=1.0):
+    def counting(M, t=1.0):
         calls.append(t)
         return original(M, t)
 
-    original = kolmotk.verify.matrix_exp
-    monkeypatch.setattr(kolmotk.verify, "matrix_exp", matrix_exp)
-    dec = SPEC_4D_P2.decomposition()
-    ts, ss = np.geomspace(1e-4, 1e-1, 7), np.geomspace(1e-3, 1e-1, 5)
-    check_gramian_scaling(SPEC_4D_P2, dec, ts)
-    assert calls == list(ts)
-    calls.clear()
-    check_exponential_blocks(SPEC_4D_P2, dec, ss)
-    assert calls == list(ss)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "kolmotk" and getattr(module, "matrix_exp", None) is original:
+            monkeypatch.setattr(module, "matrix_exp", counting)
+    call()
+    assert len(calls) == count
 
 
 def test_schauder_ratio_constant_field_is_exact_under_drift():
