@@ -74,11 +74,7 @@ def _pair_steps(t: float) -> int:
 
 def _mean_stderr(values):
     values = np.asarray(values, dtype=float)
-    n = values.size
-    mean = float(values.mean())
-    if n < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / math.sqrt(n))
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
 def _endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=0, threads=1,
@@ -371,7 +367,8 @@ def solve_parabolic(
 def cosine_propagator(spec: OperatorSpec, f: ScalarField, times, weights) -> ScalarField:
     """sum_i weights[i] P_{t_i} f in closed form, for F == 0 and a cosine
     mixture f: P_t maps c cos(<w, .>) to c e^{-<Q_t w, w>/2} cos(<e^{tA'} w, .>),
-    and t = 0 gives P_0 f = f."""
+    and t = 0 gives P_0 f = f.  A time t < 0 is a ValueError: the semigroup
+    runs forward only, and there the factor e^{-<Q_t w, w>/2} exceeds 1."""
     if not spec.F.is_zero:
         raise ValueError("oracle requires zero nonlinear drift")
     if f.waves is None:
@@ -380,6 +377,8 @@ def cosine_propagator(spec: OperatorSpec, f: ScalarField, times, weights) -> Sca
     coeffs, waves = [], []
     for t, weight in zip(times, weights):
         t = float(t)
+        if t < 0.0:
+            raise ValueError(f"P_t needs t >= 0, got t={t:g}")
         if t == 0.0:
             eA, Qt = np.eye(spec.n), np.zeros((spec.n, spec.n))
         else:

@@ -8,21 +8,23 @@ regions: 0 for the stepping increments, 2^62 for the Hölder stencils
 first p_tilde coordinates: step k of path q is normals [q p_tilde, (q+1)
 p_tilde) of row k (counter word 2) of the stepping region, whatever the
 run's step count, so runs on disjoint paths share no normal, and a
-chunk's increments are drawn in one call.  Two steppers read the same
-increments and advance only what their estimator reads:
-``simulate_endpoints`` the full path X (and its first variation eta, the
-exact derivative of the exponential-Euler step, so the derivative of the
-X it returns), ``girsanov_endpoints`` the linear reference path Z and its
-Girsanov log-weight.  With F == 0 the two paths are the same arithmetic,
-so X == Z is exact, and results are bit-identical however paths are
-chunked across threads.  Each stepper is one private generator of its
-states, fed noise blocks; handed a private ``_Pair`` K as ``steps``, a
-stepper also runs the coarse twin of K/2 steps on the pair-summed rows of
-the same draw, which the extrapolated estimates in ``semigroup`` read.
-``simulate_bundle`` stacks every state of one
-path, so a dumped path is the arithmetic the estimators run, and
-``deterministic_flow`` is the X stepper fed zero noise.  The exact F == 0
-law takes no steps: path p owns normals [p n, (p+1) n) of its region.
+chunk's increments are drawn in one call.  One kernel, ``_x_steps``,
+steps every path, X' = e^{dtA}(X + dt F(X)) + noise, run with the drift
+or without it.  Two steppers read the same increments and advance only
+what their estimator reads: ``simulate_endpoints`` runs it with the drift
+for the full path X (and its first variation eta, the exact derivative
+of the exponential-Euler step, so the derivative of the X it returns),
+``girsanov_endpoints`` without it for the linear reference path Z and
+its Girsanov log-weight.  With F == 0 the two runs are the same
+arithmetic, so X == Z is exact, and results are bit-identical however
+paths are chunked across threads.  Handed a private ``_Pair`` K as
+``steps``, a stepper also runs the coarse twin of K/2 steps on the
+pair-summed rows of the same draw, which the extrapolated estimates in
+``semigroup`` read.  ``simulate_bundle`` stacks every state both runs
+reach on one path, so a dumped path is the arithmetic the estimators
+run, and ``deterministic_flow`` is the X stepper fed zero increments.
+The exact F == 0 law takes no steps: path p owns normals [p n, (p+1) n)
+of its region.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gramian import gramian
-from .operators import OperatorSpec, matrix_exp
+from .operators import DriftField, OperatorSpec, matrix_exp
 
 __all__ = [
     "PathGrid",
@@ -50,6 +52,7 @@ CHUNK = 4096  # fixed path chunk; independent of thread count by design
 BLOCK = 64  # steps whose noise (and Girsanov path points) are held at once
 _STEPPING, _STENCIL, _EXACT = 0, 1 << 254, 1 << 255  # regions: top counter word 0, 2^62, 2^63
 _ROW = 1 << 128  # one unit of counter word 2, which numbers a region's rows
+_LINEAR = DriftField()  # F == 0: the drift that steps the Girsanov linear path
 
 
 @dataclass(frozen=True)
@@ -179,47 +182,35 @@ def _noise_blocks(eAS, dW):
         yield dw, np.matmul(dw, eAS.T, out=noise[:len(dw)])
 
 
-def _x_steps(spec, X, dt, eAdt, blocks, with_variation):
+def _x_steps(F, X, dt, eAdt, noise, with_variation):
     """X (m c, n) after every step X' = e^{dtA}(X + dt F(X)) + noise, from the
     starts X (each repeated once per path), and the tangent rows V = eta^T
     (m c n, n) of its exact derivative eta' = e^{dtA}(I + dt DF(X)) eta if
-    asked (else None), one matmul each.  ``blocks`` yields (dW, noise) per
-    block of steps as ``_noise_blocks`` does, noise (b, c, n) for c paths."""
-    F, n = spec.F, spec.n
+    asked (else None), one matmul each.  ``noise`` yields one (c, n) array
+    per step for c paths; F = ``_LINEAR`` steps the linear path Z."""
+    n = X.shape[1]
     V = np.tile(np.eye(n), (len(X), 1)) if with_variation else None
-    for _, noise in blocks:
-        for dx in noise:
-            if not F.is_zero:
-                FX, DFV = F.tangent(X, V)
-                X = X + FX * dt
-                if with_variation:
-                    V = V + DFV * dt
-            X = ((X @ eAdt.T).reshape(-1, len(dx), n) + dx).reshape(X.shape)
+    for dx in noise:
+        if not F.is_zero:
+            FX, DFV = F.tangent(X, V)
+            X = X + FX * dt
             if with_variation:
-                V = V @ eAdt.T
-            yield X, V
+                V = V + DFV * dt
+        X = ((X @ eAdt.T).reshape(-1, len(dx), n) + dx).reshape(X.shape)
+        if with_variation:
+            V = V @ eAdt.T
+        yield X, V
 
 
 def _x_run(spec, x0s, t, steps, dW, with_variation):
     """X (m, c, n) at t after ``steps`` steps on dW (steps, c, p_tilde) for
     every start in x0s and, if asked, eta (m, c, n, n)."""
-    for X, V in _x_steps(spec, np.repeat(x0s, dW.shape[1], axis=0),
-                         *_stepping(spec, t, steps, dW), with_variation):
+    dt, eAdt, blocks = _stepping(spec, t, steps, dW)
+    for X, V in _x_steps(spec.F, np.repeat(x0s, dW.shape[1], axis=0), dt, eAdt,
+                         (dx for _, noise in blocks for dx in noise), with_variation):
         pass
     X = X.reshape(len(x0s), dW.shape[1], spec.n)
     return (X, V.reshape(X.shape + (spec.n,)).swapaxes(2, 3)) if with_variation else (X,)
-
-
-def _z_blocks(spec, Z, dt, eAdt, blocks):
-    """Per block of steps: the left points Zs (b, m, c, n) of Z' = e^{dtA} Z +
-    noise from the starts Z (m, c, n), G(Zs) and dW (b, c, p_tilde), and Z
-    after the block."""
-    for dw, noise in blocks:
-        Zs = np.empty((len(noise),) + Z.shape)
-        for k, dz in enumerate(noise):
-            Zs[k] = Z
-            Z = Z @ eAdt.T + dz
-        yield Zs, spec.girsanov_noise(Zs), dw, Z
 
 
 def _log_weight(G, dw, dt):
@@ -228,13 +219,20 @@ def _log_weight(G, dw, dt):
 
 
 def _z_run(spec, x0s, t, steps, dW):
-    """Z (m, c, n) at t and log_phi (m, c) after ``steps`` steps on dW."""
-    logphi = np.zeros((len(x0s), dW.shape[1]))
-    for Zs, G, dw, Z in _z_blocks(spec, np.repeat(x0s[:, None, :], dW.shape[1], axis=1),
-                                  *_stepping(spec, t, steps, dW)):
-        logphi += _log_weight(G, dw, t / steps)
-        del Zs  # free this block's points before the next block allocates its own
-    return Z, logphi
+    """Z (m, c, n) at t and log_phi (m, c) after ``steps`` steps on dW; the
+    left points of each block of steps are held in one buffer."""
+    dt, eAdt, blocks = _stepping(spec, t, steps, dW)
+    shape = (len(x0s), dW.shape[1], spec.n)
+    Z, logphi = np.repeat(x0s, shape[1], axis=0), 0.0
+    Zs = np.empty((min(BLOCK, steps),) + Z.shape)
+    for dw, noise in blocks:
+        Zs[0] = Z
+        for k, (Z, _) in enumerate(_x_steps(_LINEAR, Z, dt, eAdt, noise, False), 1):
+            if k < len(dw):
+                Zs[k] = Z
+        logphi = logphi + _log_weight(spec.girsanov_noise(Zs[:len(dw)].reshape((-1,) + shape)),
+                                      dw, dt)
+    return Z.reshape(shape), logphi
 
 
 def _run_chunks(kernel, spec, x0s, t, steps, seed, n_paths, path_offset, threads, *args):
@@ -309,30 +307,27 @@ def girsanov_endpoints(
 
 def simulate_bundle(spec: OperatorSpec, x, grid: PathGrid, seed: int, path_id: int = 0) -> PathBundle:
     """Full record of one path: Z, X and the running log-weight after every
-    step, stacked from what the endpoint steppers yield for that path."""
+    step, stacked from the kernel the endpoint steppers run, on that path's
+    noise."""
     x0 = np.asarray(x, dtype=float)
     ids = range(int(path_id), int(path_id) + 1)
-    run = (spec, grid.t_end, grid.steps, brownian_increments(seed, ids, grid.steps, spec.p_tilde,
-                                                             grid.dt))
-    X = np.stack([x0] + [Xk[0] for Xk, _ in _x_steps(spec, x0[None], *_stepping(*run), False)])
-    Z, dlog = [], [0.0]
-    for Zs, G, dw, Zk in _z_blocks(spec, x0[None, None], *_stepping(*run)):
-        Z.append(Zs[:, 0, 0])
-        dlog += [_log_weight(G[k:k + 1], dw[k:k + 1], grid.dt)[0, 0] for k in range(len(G))]
-    return PathBundle(grid, np.concatenate(Z + [Zk[0]]), X, np.cumsum(dlog), int(path_id))
+    dW = brownian_increments(seed, ids, grid.steps, spec.p_tilde, grid.dt)
+    dt, eAdt, blocks = _stepping(spec, grid.t_end, grid.steps, dW)
+    noise = np.concatenate([block.copy() for _, block in blocks])  # blocks share one buffer
+    X, Z = (np.stack([x0] + [Y[0] for Y, _ in _x_steps(F, x0[None], dt, eAdt, noise, False)])
+            for F in (spec.F, _LINEAR))
+    G = spec.girsanov_noise(Z[:-1, None, None])
+    dlog = [_log_weight(G[k:k + 1], dW[k:k + 1], dt)[0, 0] for k in range(grid.steps)]
+    return PathBundle(grid, Z, X, np.cumsum([0.0] + dlog), int(path_id))
 
 
 def deterministic_flow(spec: OperatorSpec, x, t: float, steps: int) -> np.ndarray:
     """The noiseless drift flow Y_t (n,) from x: the X stepper on one path
-    fed zero noise, Y' = e^{dtA}(Y + dt F(Y))."""
+    fed zero increments, Y' = e^{dtA}(Y + dt F(Y))."""
     if steps < 1:
         raise ValueError("steps >= 1")
-    dt = t / steps
-    zero = np.broadcast_to(0.0, (steps, 1, spec.n))
-    for Y, _ in _x_steps(spec, np.asarray(x, dtype=float)[None], dt, matrix_exp(spec.A, dt),
-                         [(None, zero)], False):
-        pass
-    return Y[0]
+    x0 = np.asarray(x, dtype=float)[None]
+    return _x_run(spec, x0, t, steps, np.zeros((steps, 1, spec.p_tilde)), False)[0][0, 0]
 
 
 def write_path_csv(bundles, fileobj):

@@ -148,6 +148,11 @@ def test_derivative_validation():
     for method in ("fd", "pathwise"):  # one path has no stderr, as in evaluate
         with pytest.raises(ValueError, match="budget >= 2"):
             derivative_estimate(SPEC_OU, COS, 0.3, X0, (1,), 1, 0, method=method)
+    with pytest.raises(SingularGramian):
+        derivative_estimate(SPEC_OU, COS, 1e-5, X0, (1,), 100, 0)
+    with pytest.raises(ValueError, match="needs a field gradient"):
+        derivative_estimate(SPEC_OU, ScalarField.from_callable(np.cos, 2), 0.3, X0, (1,), 100, 0,
+                            method="pathwise")
 
 
 def test_quadrature_scheme_build():
@@ -287,21 +292,24 @@ def test_fd_derivative_of_linear_field_shares_noise():
 
 def _by_hand(spec, x, t, n_paths, seed, method, coord=0):
     """Mean and stderr of the per-path 2 g_K - g_{K/2}, stepped here on one
-    draw of K rows through the private generators: g_K on the rows, g_{K/2}
-    on their pair sums."""
+    draw of K rows through the private kernel: g_K on the rows, g_{K/2}
+    on their pair sums, Girsanov's Z with no drift."""
     K = semigroup._pair_steps(t)
     dW = simulate.brownian_increments(seed, range(n_paths), K, spec.p_tilde, t / K)
     g = []
     for k, dw in ((K, dW), (K // 2, dW[0::2] + dW[1::2])):
         dt, eAdt, blocks = simulate._stepping(spec, t, k, dw)
+        X, logphi = np.tile(x, (n_paths, 1)), 0.0
         if method == "girsanov":
-            logphi = 0.0
-            for _, G, d, Z in simulate._z_blocks(spec, np.tile(x, (1, n_paths, 1)), dt, eAdt,
-                                                 blocks):
+            for d, noise in blocks:
+                Zs = [X]
+                for X, _ in simulate._x_steps(DriftField(), X, dt, eAdt, noise, False):
+                    Zs.append(X)
+                G = spec.girsanov_noise(np.stack(Zs[:-1])[:, None])
                 logphi = logphi + simulate._log_weight(G, d, dt)
-            g.append(COS(Z[0]) * np.exp(logphi[0]))
+            g.append(COS(X) * np.exp(logphi[0]))
             continue
-        for X, V in simulate._x_steps(spec, np.tile(x, (n_paths, 1)), dt, eAdt, blocks,
+        for X, V in simulate._x_steps(spec.F, X, dt, eAdt, (dx for _, nz in blocks for dx in nz),
                                       method == "pathwise"):
             pass
         if method == "direct":

@@ -101,12 +101,12 @@ def test_coupled_pair_rides_one_draw(stepper, monkeypatch):
     draw.  The fine half is the plain K-step run, and the coarse half stacks
     after it along the starts axis."""
     handed = []
-    for name in ("_x_steps", "_z_blocks"):
-        def recorded(spec, Z, dt, eAdt, blocks, *args, _fn=getattr(simulate, name)):
-            blocks = list((dw.copy(), noise.copy()) for dw, noise in blocks)
-            handed.append(np.concatenate([dw for dw, _ in blocks]))
-            return _fn(spec, Z, dt, eAdt, iter(blocks), *args)
-        monkeypatch.setattr(simulate, name, recorded)
+
+    def recorded(eAS, dW, _fn=simulate._noise_blocks):
+        handed.append(dW.copy())
+        return _fn(eAS, dW)
+
+    monkeypatch.setattr(simulate, "_noise_blocks", recorded)
     draws = []
 
     def drawn(*args):
@@ -133,9 +133,12 @@ def test_coupled_pair_rides_one_draw(stepper, monkeypatch):
 
 @pytest.mark.parametrize("stepper", [simulate_endpoints, girsanov_endpoints])
 def test_steppers_reject_steps_below_one(stepper):
-    """Also fewer than one path, which would leave no chunk to join."""
+    """Also fewer than one path, which would leave no chunk to join; the
+    noiseless flow needs steps >= 1 too."""
     with pytest.raises(ValueError, match="steps"):
         stepper(SPEC_NL, np.zeros(2), 0.3, 0, 5, 10)
+    with pytest.raises(ValueError, match="steps >= 1"):
+        deterministic_flow(SPEC_NL, np.zeros(2), 0.3, 0)
     with pytest.raises(ValueError, match="n_paths >= 1"):
         stepper(SPEC_NL, np.zeros(2), 0.3, 16, 5, 0)
 

@@ -22,6 +22,7 @@ from kolmotk import (
     evaluate,
     fit_exponent,
     gramian,
+    ou_cosine_expectation,
     whitened_direction_norm,
 )
 
@@ -99,6 +100,12 @@ def test_exponential_blocks_examples():
            check_exponential_blocks(SPEC_3D, SPEC_3D.decomposition(), ss)}
     assert abs(r3d["exp-block i=2 h=0"].measured - 2.0) < 0.05
     assert all(r.passed for r in r3d.values())
+    # i < h with a non-zero block: a lower bound 1 on the slope
+    spec = OperatorSpec(n=2, p_tilde=1, Q0=[[1.0]], A=[[0.0, 0.5], [1.0, 0.0]])
+    up = {r.name: r for r in check_exponential_blocks(spec, spec.decomposition(), ss)}
+    assert up["exp-block i=0 h=1"].kind == "bound"
+    assert abs(up["exp-block i=0 h=1"].measured - 1.0) < 0.05
+    assert up["exp-block i=0 h=1"].passed
 
 
 def test_flow_moments_gaussian_blocks():
@@ -225,6 +232,40 @@ def test_schauder_ratio_constant_field_is_exact_under_drift():
                                [ScalarField.constant(c, 2)], 0.5, lam, budget=50, seed=4,
                                scheme=QuadratureScheme.build(lam, 1.0, paths_per_node=2))
     assert rep.provenance["ratios_base"] == [1.0 / lam]
+
+
+def test_schauder_ratio_monte_carlo_resolvent_under_drift():
+    """A cosine field under drift has no closed-form resolvent: u is read
+    point by point from solve_elliptic, reproducibly."""
+    lam = 2.0
+    scheme = QuadratureScheme.build(lam, 1.0, tol=1e-1, nodes_per_panel=2, paths_per_node=2)
+    assert len(scheme.nodes()[0]) == 16
+
+    def ratios():
+        rep = check_schauder_ratio(SPEC_NL, SPEC_NL.decomposition(),
+                                   [ScalarField.cosine([1.0, 0.5])], 0.5, lam, budget=2,
+                                   seed=4, scheme=scheme)
+        return rep.provenance["ratios_base"] + rep.provenance["ratios_doubled"]
+
+    first = ratios()
+    assert np.isfinite(first).all()
+    assert ratios() == first
+
+
+def test_closed_form_oracles_reject_negative_times():
+    """P_t runs forward only: at t < 0 the Gaussian factor e^{-<Q_t w, w>/2}
+    exceeds 1, so the oracles raise rather than return |P_t f| > sup |f|."""
+    f = ScalarField.cosine([1.0, 0.5])
+    with pytest.raises(ValueError, match="t >= 0"):
+        cosine_propagator(SPEC_2D, f, [-0.5], [1.0])
+    with pytest.raises(ValueError, match="t >= 0"):
+        cosine_propagator(SPEC_2D, f, [0.0, 0.5, -1e-9], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="t >= 0"):
+        ou_cosine_expectation(SPEC_2D, [1.0, 0.5], -2.0, [0.2, -0.1])
+    with pytest.raises(ValueError, match="t >= 0"):
+        check_parabolic_schauder_ratio(SPEC_2D, SPEC_2D.decomposition(), [f], 0.5, (-1.0,),
+                                       budget=10, seed=0)
+    assert cosine_propagator(SPEC_2D, f, [0.0], [1.0])([0.2, -0.1]) == f([0.2, -0.1])
 
 
 @pytest.mark.parametrize("family", [[], [ScalarField.constant(0.0, 2)]], ids=["empty", "zero"])
