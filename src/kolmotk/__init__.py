@@ -21,10 +21,8 @@ from .errors import (
 from .gramian import (
     TMIN,
     Gramian,
-    block_exp_norm,
     gramian,
     gramian_quadrature,
-    whitened_direction_norm,
 )
 from .holder import (
     SCALE_MIN,
@@ -34,11 +32,7 @@ from .holder import (
     holder_seminorm,
     third_difference,
 )
-from .kalman import (
-    Block,
-    KalmanDecomposition,
-    decompose,
-)
+from .kalman import KalmanDecomposition, decompose
 from .operators import DriftField, DriftTerm, OperatorSpec, matrix_exp
 from .semigroup import (
     MCEstimate,

@@ -63,8 +63,8 @@ def cmd_analyze(cfg: RunConfig, args):
     dec = cfg.operator.decomposition()
     header = ("k", "block", "dim", "index_set", "exponent")
     rows = [
-        (dec.k, h, b.dim, " ".join(str(i) for i in b.index_set), f"1/{2 * h + 1}")
-        for h, b in enumerate(dec.blocks)
+        (dec.k, h, dim, " ".join(map(str, np.flatnonzero(dec.grade == h) + 1)), f"1/{2 * h + 1}")
+        for h, dim in enumerate(dec.block_dims)
     ]
     path = _write_rows(_out_dir(args) / "analyze", header, rows, args.format)
     print(f"k={dec.k} dims={list(dec.block_dims)}")

@@ -37,8 +37,6 @@ __all__ = [
     "Gramian",
     "gramian",
     "gramian_quadrature",
-    "whitened_direction_norm",
-    "block_exp_norm",
     "TMIN",
 ]
 
@@ -94,10 +92,10 @@ def gramian_quadrature(spec: OperatorSpec, t: float) -> np.ndarray:
     return 0.5 * (prev + prev.T)
 
 
-def _scaled_law(spec: OperatorSpec, dec: KalmanDecomposition, t: float, exps):
+def _scaled_law(spec: OperatorSpec, dec: KalmanDecomposition, t: float):
     """(e^{tA}, Q_t, G_hat) from the time-1 law of (A_hat, Q_hat) for the
-    per-coordinate exponents ``exps``, (2h+1)/2."""
-    d = t**exps
+    per-coordinate exponents (2h+1)/2 of the grading."""
+    d = t ** (dec.grade + 0.5)
     B = dec.basis
     A_hat = t * (B.T @ spec.A @ B) * (d[None, :] / d[:, None])
     Q_hat = t * (B.T @ spec.Q @ B) / np.outer(d, d)
@@ -134,7 +132,6 @@ class Gramian:
     dec: KalmanDecomposition
     scaled: np.ndarray  # G_hat in the reference basis
     scaled_eig: tuple  # (raw eigenvalues, eigenvectors) of G_hat
-    exponents: np.ndarray  # per reference coordinate, (2h+1)/2
 
     @property
     def min_eig_pre_clamp(self):
@@ -151,22 +148,20 @@ class Gramian:
         if vals[0] < floor:
             raise SingularGramian(f"scaled Gramian eigenvalue {vals[0]:.3e} below floor "
                                   f"{floor:.3e} at t={self.t:g}")
-        w = (self.dec.basis.T @ np.asarray(v, dtype=float)) * self.t ** (-self.exponents)
+        w = (self.dec.basis.T @ np.asarray(v, dtype=float)) * self.t ** -(self.dec.grade + 0.5)
         return float(np.linalg.norm((vecs.T @ w) / np.sqrt(vals)))
 
     def sqrt_factor(self) -> np.ndarray:
         """S with S S' = Q_t, accurate blockwise down to small t."""
         vals, vecs = self.scaled_eig
         vals = np.maximum(vals, 0.0)
-        S_ref = (self.t**self.exponents)[:, None] * (vecs * np.sqrt(vals))
+        S_ref = (self.t ** (self.dec.grade + 0.5))[:, None] * (vecs * np.sqrt(vals))
         return self.dec.basis @ S_ref
 
     def block_sqrt_norm(self, h: int) -> float:
         """Operator norm of E_h Q_t^{1/2}."""
-        S = self.sqrt_factor()
-        idx = [i - 1 for i in self.dec.blocks[h].index_set]
-        rows = self.dec.basis.T @ S
-        return float(np.linalg.svd(rows[idx, :], compute_uv=False)[0])
+        rows = self.dec.basis.T @ self.sqrt_factor()
+        return float(np.linalg.svd(rows[self.dec.grade == h], compute_uv=False)[0])
 
 
 def gramian(spec: OperatorSpec, t: float, dec: KalmanDecomposition | None = None) -> Gramian:
@@ -175,8 +170,7 @@ def gramian(spec: OperatorSpec, t: float, dec: KalmanDecomposition | None = None
         raise ValueError("t must be positive")
     if dec is None:
         dec = spec.decomposition()
-    exps = np.repeat(np.arange(dec.k + 1) + 0.5, dec.block_dims)
-    eA, matrix, scaled = _representable(t, _scaled_law, spec, dec, t, exps)
+    eA, matrix, scaled = _representable(t, _scaled_law, spec, dec, t)
     return Gramian(
         t=float(t),
         matrix=matrix,
@@ -184,23 +178,11 @@ def gramian(spec: OperatorSpec, t: float, dec: KalmanDecomposition | None = None
         dec=dec,
         scaled=scaled,
         scaled_eig=tuple(np.linalg.eigh(scaled)),
-        exponents=exps,
     )
 
 
-def whitened_direction_norm(spec: OperatorSpec, dec: KalmanDecomposition, t: float,
-                            i: int) -> float:
-    """|Q_t^{-1/2} e^{tA} e_i| for the 1-based coordinate i."""
-    gram = gramian(spec, t, dec)
-    return gram.whitened_norm(gram.exp[:, i - 1])
-
-
-def _block_norm(dec: KalmanDecomposition, E, h: int, h_from: int) -> float:
-    """Operator norm of E_h E E_{h_from} for an n x n matrix E."""
-    M = dec.blocks[h].basis.T @ E @ dec.blocks[h_from].basis
-    return float(np.linalg.svd(M, compute_uv=False)[0])
-
-
-def block_exp_norm(spec: OperatorSpec, dec: KalmanDecomposition, s: float, h: int, h_from: int) -> float:
-    """Operator norm of E_h e^{sA} E_{h_from}."""
-    return _block_norm(dec, matrix_exp(spec.A, s), h, h_from)
+def _block_norm(dec: KalmanDecomposition, E, h: int, h_from: int) -> np.ndarray:
+    """Operator norms of E_h E E_{h_from} for a stack E (..., n, n) of matrices."""
+    # a column mask gives F order; C order keeps the product's rounding
+    Bh, Bf = (np.ascontiguousarray(dec.basis[:, dec.grade == g]) for g in (h, h_from))
+    return np.linalg.svd(Bh.T @ E @ Bf, compute_uv=False)[..., 0]

@@ -57,10 +57,6 @@ class ScalarField:
     def __call__(self, x):
         return self.eval(np.asarray(x, dtype=float))
 
-    @property
-    def n(self):
-        return self.box.shape[0]
-
     def contains(self, x):
         x = np.asarray(x, dtype=float)
         lo, hi = self.box[:, 0], self.box[:, 1]
@@ -122,7 +118,6 @@ def _stencils(dec: KalmanDecomposition, box, seed, budget):
     until one fits in the box."""
     n = box.shape[0]
     K = 2 + n + n % 2 + n
-    grade = np.repeat(np.arange(dec.k + 1), dec.block_dims)
     x, v, r = np.empty((budget, n)), np.empty((budget, n)), np.empty(budget)
     todo = np.arange(budget)
     for c in range(_CANDIDATES):
@@ -130,7 +125,7 @@ def _stencils(dec: KalmanDecomposition, box, seed, budget):
         u = u.reshape(-1, K)[todo]
         h = np.minimum((u[:, 0] * (dec.k + 1)).astype(int), dec.k)  # u (k+1) may round up
         rc = np.exp(np.log(SCALE_MIN) * u[:, 1])
-        z = _box_muller(u[:, 2:K - n])[:, :n] * (grade == h[:, None])
+        z = _box_muller(u[:, 2:K - n])[:, :n] * (dec.grade == h[:, None])
         vc = (z * (rc ** (2 * h + 1) / np.linalg.norm(z, axis=1))[:, None]) @ dec.basis.T
         lo = box[:, 0] - np.minimum(0.0, 3.0 * vc)
         hi = box[:, 1] - np.maximum(0.0, 3.0 * vc)

@@ -6,7 +6,10 @@ are needed to carry noise into a direction: block 0 is the noisy span
 {e_1..e_p}, block m is the orthogonal complement gained by the m-th power
 of A.  ``decompose`` builds it in one pass over the powers of A, which also
 decides the Kalman index k (the number of blocks less one) and whether the
-rank condition holds.  The quasi-norm weighs block m with exponent
+rank condition holds.  The grading is one array, ``grade``: reference
+coordinate i lies in block grade[i-1], so block h is the basis columns
+where grade == h, and every module that scales, projects or samples by
+block reads it there.  The quasi-norm weighs block m with exponent
 1/(2m+1), which is the natural parabolic scaling of the associated
 diffusion.
 """
@@ -21,7 +24,6 @@ from .errors import NotHypoelliptic
 from .operators import OperatorSpec, _frozen
 
 __all__ = [
-    "Block",
     "KalmanDecomposition",
     "decompose",
 ]
@@ -32,29 +34,17 @@ RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class Block:
-    """One orthogonal block: basis columns span E_m(R^n)."""
-
-    index_set: tuple
-    basis: np.ndarray  # (n, dim) orthonormal columns
-
-    @property
-    def dim(self):
-        return self.basis.shape[1]
-
-
-@dataclass(frozen=True)
 class KalmanDecomposition:
     """Orthogonal grading R^n = sum_m E_m(R^n) with a reference basis.
 
     ``k`` is the Kalman index, the smallest k with
     rank [Q^{1/2}, A Q^{1/2}, ..., A^k Q^{1/2}] = n.  ``basis`` has the
-    block bases as consecutive columns; the first p_tilde columns are
-    exactly e_1..e_p_tilde.
+    block bases as consecutive columns, block h where ``grade`` == h; the
+    first p_tilde columns are exactly e_1..e_p_tilde.
     """
 
     k: int
-    blocks: tuple
+    grade: np.ndarray  # (n,) block h of each reference coordinate, ascending
     basis: np.ndarray  # (n, n) orthogonal
 
     @property
@@ -63,33 +53,25 @@ class KalmanDecomposition:
 
     @property
     def block_dims(self):
-        return tuple(b.dim for b in self.blocks)
+        return tuple(np.bincount(self.grade).tolist())
 
     def block_of_coordinate(self, i: int) -> int:
         """Block index h with reference coordinate i (1-based) in I_h."""
-        for h, b in enumerate(self.blocks):
-            if i in b.index_set:
-                return h
-        raise IndexError(f"coordinate {i} outside 1..{self.n}")
+        if not 1 <= i <= self.n:  # grade[-1] would answer for coordinate 0
+            raise IndexError(f"coordinate {i} outside 1..{self.n}")
+        return int(self.grade[i - 1])
 
     def block_components(self, x):
         """Per-block euclidean norms |E_h x|, stacked on the last axis."""
-        x = np.asarray(x, dtype=float)
-        comps = x @ self.basis  # coordinates in the reference basis
-        out = []
-        for b in self.blocks:
-            idx = [i - 1 for i in b.index_set]
-            out.append(np.linalg.norm(comps[..., idx], axis=-1))
-        return np.stack(out, axis=-1)
+        comps = np.asarray(x, dtype=float) @ self.basis  # coordinates in the reference basis
+        return np.stack([np.linalg.norm(comps[..., self.grade == h], axis=-1)
+                         for h in range(self.k + 1)], axis=-1)
 
     def quasi_norm(self, x):
         """Anisotropic quasi-norm sum_h |E_h x|^(1/(2h+1))."""
         comps = self.block_components(x)
         exps = np.array([1.0 / (2 * h + 1) for h in range(self.k + 1)])
         return np.sum(comps**exps, axis=-1)
-
-    def distance(self, x, y):
-        return self.quasi_norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
 
     def metric_description(self):
         """Human-readable rendering of the metric, e.g. |E0 z|^1 + |E1 z|^(1/3)."""
@@ -116,7 +98,7 @@ def decompose(spec: OperatorSpec) -> KalmanDecomposition:
     stacked = cols
     rank = 0
     accepted = []  # orthonormal columns, in block order
-    blocks = []
+    grade = []
     cand = np.eye(n)[:, : spec.p_tilde]
     for m in range(n):
         svals = np.linalg.svd(stacked, compute_uv=False)
@@ -139,9 +121,7 @@ def decompose(spec: OperatorSpec) -> KalmanDecomposition:
                 block_cols.append(v / r)
         if not block_cols:
             raise NotHypoelliptic(f"block {m} is empty although the rank grew to {rank}")
-        start = len(accepted) + 1
-        blocks.append(Block(index_set=tuple(range(start, start + len(block_cols))),
-                            basis=_frozen(np.column_stack(block_cols))))
+        grade += [m] * len(block_cols)
         accepted.extend(block_cols)
         if rank == n:
             break
@@ -150,5 +130,5 @@ def decompose(spec: OperatorSpec) -> KalmanDecomposition:
         cand = spec.A @ cand
     if len(accepted) != n:
         raise NotHypoelliptic(f"decomposition spans {len(accepted)} < {n} directions")
-    full = np.column_stack([b.basis for b in blocks])
-    return KalmanDecomposition(k=m, blocks=tuple(blocks), basis=_frozen(full))
+    return KalmanDecomposition(k=m, grade=_frozen(grade, int),
+                               basis=_frozen(np.column_stack(accepted)))

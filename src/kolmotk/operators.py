@@ -11,9 +11,9 @@ is restricted to sums of tanh ridge functions, which keeps all derivatives
 bounded by construction.  ``DriftField`` stacks its terms into three arrays
 once, so F and the tangent rows DF v are each one matrix product over any
 batch of points; ``DriftField.tangent`` is the one place that forms DF.
-``OperatorSpec`` builds Q, its root, Q0^{-1/2} and the Girsanov projection
-at construction from the one eigendecomposition that validates Q0; only
-the Kalman decomposition, which can fail, is built on first use.
+``OperatorSpec`` builds Q, its root and the Girsanov projection through
+Q0^{-1/2} at construction, from the one eigendecomposition that validates
+Q0; only the Kalman decomposition, which can fail, is built on first use.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class OperatorSpec:
     Immutable after construction; validation happens here so downstream
     code can assume a well-formed operator.  The eigendecomposition that
     validates Q0 also gives the read-only matrices ``Q`` (Q0 embedded in
-    the top-left n x n block), its root ``Q_sqrt`` and ``Q0_inv_sqrt``.
+    the top-left n x n block) and its root ``Q_sqrt``.
     """
 
     n: int
@@ -161,7 +161,6 @@ class OperatorSpec:
         S[:p, :p] = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
         inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.T
         for name, value in [("Q0", Q0), ("A", A), ("Q", Q), ("Q_sqrt", S),
-                            ("Q0_inv_sqrt", inv_sqrt),
                             ("_G_proj", np.eye(self.n, p) @ inv_sqrt.T)]:
             object.__setattr__(self, name, _frozen(value))
         object.__setattr__(self, "_dec", None)

@@ -108,14 +108,14 @@ def _path_values(values, spec, x0s, t, steps, *args, **kwargs):
     a drifted operator they are the Talay-Tubaro extrapolation
     2 g_K - g_{K/2} of a first-order scheme: g_K on K = ``_pair_steps(t)``
     steps and g_{K/2} on the pair-summed increments of the same draw.
-    Otherwise they are g on ``steps``, else on ``default_steps(t)``."""
+    Otherwise they are g on ``steps``, which ``_endpoints`` ignores for
+    F == 0."""
     x0s = np.atleast_2d(x0s)
     if steps is None and not spec.F.is_zero:
         out = _endpoints(spec, x0s, t, _Pair(_pair_steps(t)), *args, **kwargs)
         m = len(x0s)
         return (2.0 * values(tuple(a[:m] for a in out))
                 - values(tuple(a[m:] for a in out)))
-    steps = default_steps(t) if steps is None else steps
     return values(_endpoints(spec, x0s, t, steps, *args, **kwargs))
 
 

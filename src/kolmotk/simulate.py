@@ -214,8 +214,12 @@ def _x_run(spec, x0s, t, steps, dW, with_variation):
 
 
 def _log_weight(G, dw, dt):
-    """Sum of the log-weight increments <G, dW> - |G|^2 dt / 2 over a block, (m, c)."""
-    return np.einsum("bmcp,bcp->mc", G, dw) - 0.5 * dt * np.einsum("bmcp,bmcp->mc", G, G)
+    """Sum of the log-weight increments <G, dW> - |G|^2 dt / 2 over a block, (m, c),
+    in step order at any c: with the two sums side by side on the last axis, the
+    step axis is never the contiguous one that numpy sums pairwise."""
+    s = np.stack([np.einsum("bmcp,bcp->bmc", G, dw), np.einsum("bmcp,bmcp->bmc", G, G)],
+                 axis=-1).sum(axis=0)
+    return s[..., 0] - 0.5 * dt * s[..., 1]
 
 
 def _z_run(spec, x0s, t, steps, dW):

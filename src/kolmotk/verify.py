@@ -130,13 +130,13 @@ def check_exponential_blocks(spec: OperatorSpec, dec: KalmanDecomposition, s_gri
     if dec.k == 0:
         return []  # no pair of distinct blocks
     s_grid = np.asarray(s_grid, dtype=float)
-    exps = [matrix_exp(spec.A, float(s)) for s in s_grid]
+    exps = np.stack([matrix_exp(spec.A, float(s)) for s in s_grid])
     reports = []
     for i in range(dec.k + 1):
         for h in range(dec.k + 1):
             if i == h:
                 continue
-            pts = [(s, _block_norm(dec, E, i, h)) for s, E in zip(s_grid, exps)]
+            pts = list(zip(s_grid, _block_norm(dec, exps, i, h).tolist()))
             name = f"exp-block i={i} h={h}"
             if max(v for _, v in pts) < _VACUOUS_NORM:
                 reports.append(

@@ -1,0 +1,29 @@
+"""Every exported name is read by the library, the benchmark or the
+acceptance criteria, so ``kolmotk.__all__`` holds nothing that only its own
+unit tests call."""
+
+import ast
+from pathlib import Path
+
+import kolmotk
+
+ROOT = Path(__file__).resolve().parents[1]
+# independent references that the unit tests check the library against
+ORACLES = {"gramian_quadrature", "third_difference"}
+
+
+def _names_read(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_is_read_outside_its_unit_tests():
+    files = [p for p in (ROOT / "src" / "kolmotk").glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*map(_names_read, files))
+    assert sorted(set(kolmotk.__all__) - read - ORACLES) == []

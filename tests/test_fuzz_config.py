@@ -137,9 +137,10 @@ def stepping_configs(draw):
     """The README config, with or without its drift, for evaluate or solve.
 
     budget and paths_per_node are at most 8, steps at most 64 and lambda at
-    least 0.5.  With drift, every solver node steps default_steps(t), so
-    lambda is at least 2, and t and the field sizes at most 5 and 10, which
-    keeps the horizon of the elliptic quadrature near 5."""
+    least 0.5.  With drift, every solver node steps the extrapolated pair,
+    1.5 K(t) steps with K(t) = 2 max(16, ceil(96 t)), so lambda is at least
+    2, and t and the field sizes at most 5 and 10, which keeps the horizon
+    of the elliptic quadrature near 5."""
     drift = draw(st.booleans())
     command = draw(st.sampled_from(["evaluate", "solve"]))
     doc = copy.deepcopy(README)

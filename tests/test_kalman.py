@@ -31,18 +31,27 @@ def test_decomposition_structure():
     dec = decompose(SPEC_3D)
     assert dec.k == 2
     assert dec.block_dims == (1, 1, 1)
-    assert [b.index_set for b in dec.blocks] == [(1,), (2,), (3,)]
     # first block is exactly the canonical noisy direction
-    assert np.allclose(dec.blocks[0].basis[:, 0], [1.0, 0.0, 0.0])
+    assert np.allclose(dec.basis[:, dec.grade == 0][:, 0], [1.0, 0.0, 0.0])
     # orthonormal reference basis, so the block projections resolve the identity
     assert np.allclose(dec.basis.T @ dec.basis, np.eye(3), atol=1e-12)
 
 
 def test_block_of_coordinate():
     dec = decompose(SPEC_3D)
+    assert dec.grade.tolist() == [0, 1, 2]
+    assert not dec.grade.flags.writeable
     assert [dec.block_of_coordinate(i) for i in (1, 2, 3)] == [0, 1, 2]
-    with pytest.raises(IndexError):
-        dec.block_of_coordinate(0)
+    # 0 would read grade[-1], the last coordinate's block, without the range check
+    for i in (0, 4):
+        with pytest.raises(IndexError):
+            dec.block_of_coordinate(i)
+    # a 4-D chain whose noise block has dimension 2
+    p2 = decompose(OperatorSpec(n=4, p_tilde=2, Q0=np.eye(2), A=np.diag([0.0, 1.0, 1.0], -1),
+                                F=DriftField()))
+    assert p2.grade.tolist() == [0, 0, 1, 2]
+    assert p2.block_dims == (2, 1, 1)
+    assert [p2.block_of_coordinate(i) for i in (1, 2, 3, 4)] == [0, 0, 1, 2]
 
 
 def test_quasi_norm_scaling():
@@ -62,8 +71,9 @@ def test_quasi_norm_batched_and_distance():
     vals = dec.quasi_norm(X)
     assert vals.shape == (5,)
     assert np.isclose(vals[0], dec.quasi_norm(X[0]))
-    assert dec.distance(X[0], X[0]) == 0.0
-    assert dec.distance(X[0], X[1]) == dec.quasi_norm(X[0] - X[1])
+    # the metric d(z, z') is the quasi-norm of z - z'
+    assert dec.quasi_norm(X[0] - X[0]) == 0.0
+    assert dec.quasi_norm(X[0] - X[1]) == dec.quasi_norm(X[1] - X[0])
 
 
 def test_metric_description():

@@ -41,8 +41,9 @@ def test_embedded_diffusion_matrix():
 
 
 def test_derived_matrices_of_a_rotated_noise_block():
-    """p_tilde = 2 with a non-diagonal Q0: the root and the inverse root come
-    from one eigendecomposition at construction and are read-only."""
+    """p_tilde = 2 with a non-diagonal Q0: the root and the Girsanov field's
+    inverse root come from one eigendecomposition at construction, and the
+    matrices are read-only."""
     c, s = np.cos(0.6), np.sin(0.6)
     R = np.array([[c, -s], [s, c]])
     Q0 = R @ np.diag([2.0, 0.5]) @ R.T
@@ -52,8 +53,14 @@ def test_derived_matrices_of_a_rotated_noise_block():
     Q[:2, :2] = spec.Q0
     assert np.array_equal(spec.Q, Q)
     assert np.allclose(spec.Q_sqrt @ spec.Q_sqrt.T, Q, rtol=0.0, atol=1e-14)
-    assert np.allclose(spec.Q0_inv_sqrt @ Q0 @ spec.Q0_inv_sqrt, np.eye(2), rtol=0.0, atol=1e-14)
-    for a in (spec.Q, spec.Q_sqrt, spec.Q0_inv_sqrt):
+    drifted = OperatorSpec(n=3, p_tilde=2, Q0=Q0, A=np.zeros((3, 3)),
+                           F=DriftField([DriftTerm(1, 1.0, [1.0, 0.0, 0.0]),
+                                         DriftTerm(2, -0.5, [0.0, 1.0, 1.0])]))
+    x = np.array([0.3, -0.2, 0.7])
+    vals, vecs = np.linalg.eigh(Q0)
+    G = vecs @ np.diag(vals**-0.5) @ vecs.T @ drifted.F.value(x)[:2]  # Q0^{-1/2} F
+    assert np.allclose(drifted.girsanov_noise(x), G, rtol=0.0, atol=1e-14)
+    for a in (spec.Q, spec.Q_sqrt):
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
 

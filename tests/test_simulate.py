@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -94,6 +95,34 @@ def test_drifted_steppers_independent_of_threads_and_offsets(stepper):
         assert np.array_equal(np.concatenate([u, v], axis=1), w)
 
 
+def test_lone_path_log_weight_ignores_chunk_width():
+    """A path alone in its chunk, or beside one other, gets the Z and
+    log-weight it gets in a 50-path run, bitwise.  On a 1-D operator every
+    product of a step is one multiplication, so no choice of BLAS kernel can
+    move a bit of Z or G, and what is tested is the sum over the steps."""
+    spec = OperatorSpec(n=1, p_tilde=1, Q0=[[1.3]], A=[[-0.4]],
+                        F=DriftField([DriftTerm(1, 0.8, [1.0], 0.1)]))
+    for m, steps in itertools.product((1, 3), (7, 64, 130, _Pair(96))):
+        x0s = np.linspace(-0.3, 0.4, m)[:, None]
+        Z, log_phi = girsanov_endpoints(spec, x0s, 0.5, steps, 5, 50)
+        for j, w in ((0, 1), (17, 1), (49, 1), (3, 2), (30, 2)):
+            Zj, log_phi_j = girsanov_endpoints(spec, x0s, 0.5, steps, 5, w, path_offset=j)
+            assert np.array_equal(Zj, Z[:, j:j + w])
+            assert np.array_equal(log_phi_j, log_phi[:, j:j + w])
+
+
+def test_log_weight_sums_steps_in_order_at_any_width():
+    """A column's block sum of log-weight increments is the same alone,
+    beside one other column or among 50, with one or two noise coordinates."""
+    rng = np.random.default_rng(4)
+    for b, m, p in itertools.product((7, 64), (1, 3), (1, 2)):
+        G, dw = rng.standard_normal((b, m, 50, p)), rng.standard_normal((b, 50, p))
+        full = simulate._log_weight(G, dw, 0.01)
+        for j, w in ((0, 1), (17, 1), (49, 1), (3, 2), (30, 2)):
+            part = simulate._log_weight(G[:, :, j:j + w].copy(), dw[:, j:j + w].copy(), 0.01)
+            assert np.array_equal(part, full[:, j:j + w])
+
+
 @pytest.mark.parametrize("stepper", [simulate_endpoints, girsanov_endpoints])
 def test_coupled_pair_rides_one_draw(stepper, monkeypatch):
     """Given a _Pair K, a stepper draws K rows once per chunk: the fine run
@@ -177,7 +206,7 @@ def test_bundle_consistent_with_endpoints():
     eAS = eAdt @ SPEC_NL.Q_sqrt[:, :1]
     Z, X, lp = [x0], [x0], [0.0]
     for dw in brownian_increments(seed, range(pid, pid + 1), grid.steps, 1, dt)[:, 0]:
-        g = SPEC_NL.Q0_inv_sqrt @ DRIFT.value(Z[-1])[:1]
+        g = DRIFT.value(Z[-1])[:1]  # Q0 = 1, so G is F on the noisy coordinate
         lp.append(lp[-1] + g @ dw - 0.5 * dt * (g @ g))
         Z.append(eAdt @ Z[-1] + eAS @ dw)
         X.append(eAdt @ (X[-1] + dt * DRIFT.value(X[-1])) + eAS @ dw)

@@ -11,7 +11,6 @@ from kolmotk import (
     OperatorSpec,
     QuadratureScheme,
     ScalarField,
-    block_exp_norm,
     check_exponential_blocks,
     check_flow_moments,
     check_gramian_scaling,
@@ -22,9 +21,10 @@ from kolmotk import (
     evaluate,
     fit_exponent,
     gramian,
+    matrix_exp,
     ou_cosine_expectation,
-    whitened_direction_norm,
 )
+from kolmotk.gramian import _block_norm
 
 SPEC_2D = OperatorSpec(n=2, p_tilde=1, Q0=[[1.0]], A=[[0.0, 0.0], [1.0, 1.0]],
                        F=DriftField())
@@ -175,17 +175,19 @@ def test_parabolic_schauder_ratio():
 
 @pytest.mark.parametrize("spec", [SPEC_2D, SPEC_3D, SPEC_4D_P2], ids=["2d", "3d", "4d-p2"])
 def test_scaling_checks_equal_their_per_pair_reference(spec):
-    """Each check point is bitwise the public per-pair norm."""
+    """Each check point is bitwise the norm formed on its own, from one
+    Gramian or one e^{sA}."""
     dec = spec.decomposition()
     ts, ss = np.geomspace(1e-4, 1e-1, 7), np.geomspace(1e-3, 1e-1, 5)
     whitened = check_gramian_scaling(spec, dec, ts)[:spec.n]
     for i, rep in enumerate(whitened, start=1):
-        assert rep.points == tuple((t, whitened_direction_norm(spec, dec, t, i)) for t in ts)
+        grams = [gramian(spec, t, dec) for t in ts]
+        assert rep.points == tuple((g.t, g.whitened_norm(g.exp[:, i - 1])) for g in grams)
     pairs = [(i, h) for i in range(dec.k + 1) for h in range(dec.k + 1) if i != h]
     reports = check_exponential_blocks(spec, dec, ss)
     assert len(reports) == len(pairs)
     for (i, h), rep in zip(pairs, reports):
-        ref = tuple((s, block_exp_norm(spec, dec, s, i, h)) for s in ss)
+        ref = tuple((s, float(_block_norm(dec, matrix_exp(spec.A, s), i, h))) for s in ss)
         assert rep.points == ref or (rep.kind == "vacuous" and max(v for _, v in ref) < 1e-13)
 
 
