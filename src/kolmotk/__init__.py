@@ -54,7 +54,6 @@ from .simulate import (
     sample_ou_endpoints,
     simulate_bundle,
     simulate_endpoints,
-    write_path_csv,
 )
 from .verify import (
     CheckReport,

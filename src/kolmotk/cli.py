@@ -21,7 +21,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, KolmotkError, NotHypoelliptic
 from .gramian import gramian
 from .semigroup import QuadratureScheme, default_steps, evaluate, solve_elliptic, solve_parabolic
-from .simulate import PathGrid, simulate_bundle, write_path_csv
+from .simulate import PathGrid, simulate_bundle
 from .verify import check_exponential_blocks, check_flow_moments, check_gramian_scaling
 
 __all__ = ["main"]
@@ -109,11 +109,16 @@ def cmd_evaluate(cfg: RunConfig, args):
     dump = cfg.param("dump_paths", 0)
     if dump:
         grid = PathGrid(float(ts[0]), cfg.param("steps") or default_steps(float(ts[0])))
-        bundles = [simulate_bundle(spec, x, grid, args.seed, path_id=i) for i in range(dump)]
-        ppath = out / "paths.csv"
-        with open(ppath, "w", encoding="utf-8", newline="\n") as fh:
-            write_path_csv(bundles, fh)
-        print(f"wrote {ppath}")
+        coords = range(1, spec.n + 1)
+        header = ("path_id", "k", "t", *(f"Z_{i}" for i in coords), *(f"X_{i}" for i in coords),
+                  "logPhi")
+        rows = []
+        for i in range(dump):
+            b = simulate_bundle(spec, x, grid, args.seed, path_id=i)
+            rows += [(b.path_id, k, t, *b.Z[k], *b.X[k], b.log_phi[k])
+                     for k, t in enumerate(grid.times)]
+        path = _write_rows(out / "paths", header, rows, "csv")  # CSV under either --format
+        print(f"wrote {path}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""JSON run configuration: schema validation and round-trip serialization.
+"""JSON run configuration: schema validation and parsing.
 
 A config is a single JSON document.  Matrices are row-major nested arrays;
 the nonlinear drift is the tanh ridge term list.  Unknown keys anywhere in
@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .holder import ScalarField
 from .operators import DriftField, DriftTerm, OperatorSpec
 
-__all__ = ["RunConfig", "parse_config", "load_config", "field_from_config", "config_to_dict"]
+__all__ = ["RunConfig", "parse_config", "load_config", "field_from_config"]
 
 _OPERATOR_KEYS = {"n", "p_tilde", "Q0", "A", "drift"}
 _DRIFT_KEYS = {"i", "c", "a", "b"}
@@ -135,15 +135,6 @@ def field_from_config(doc, n) -> ScalarField:
     raise ConfigError(f"unknown field type '{kind}'")
 
 
-def _field_to_dict(f: ScalarField):
-    if f.waves is None or len(f.coeffs) != 1:
-        raise ConfigError("only constant and single-cosine fields have a JSON encoding")
-    c, box = float(f.coeffs[0]), f.box.tolist()
-    if not f.waves.any():
-        return {"type": "const", "value": c, "box": box}
-    return {"type": "cos", "w": f.waves[0].tolist(), "amplitude": c, "box": box}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed configuration: the operator plus validated command parameters."""
@@ -211,28 +202,3 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
     return parse_config(doc)
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Inverse of parse_config up to semantic equality."""
-    spec = cfg.operator
-    out = {
-        "operator": {
-            "n": spec.n,
-            "p_tilde": spec.p_tilde,
-            "Q0": [[float(v) for v in row] for row in spec.Q0],
-            "A": [[float(v) for v in row] for row in spec.A],
-            "drift": [
-                {"i": t.i, "c": t.c, "a": [float(v) for v in t.a], "b": t.b}
-                for t in spec.F.terms
-            ],
-        }
-    }
-    for k, v in cfg.params.items():
-        if k == "field":
-            out[k] = _field_to_dict(v)
-        elif k == "fields":
-            out[k] = [_field_to_dict(f) for f in v]
-        else:
-            out[k] = v
-    return out

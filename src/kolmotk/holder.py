@@ -44,8 +44,8 @@ class ScalarField:
     ``eval`` maps arrays of shape (..., n) to shape (...).  ``grad`` is an
     optional gradient callable used by pathwise derivative estimators.  A
     cosine mixture sum_j c_j cos(<w_j, x>) also carries ``coeffs`` (J,) and
-    ``waves`` (J, n), which closed-form oracles and the config encoding
-    read; both are None for a field built from an arbitrary callable.
+    ``waves`` (J, n), which closed-form oracles and sup bounds read; both
+    are None for a field built from an arbitrary callable.
     """
 
     eval: callable

@@ -34,10 +34,7 @@ def matrix_exp(M, t=1.0):
     """Matrix exponential e^{t M} (scaling-and-squaring with a Pade core).
     One that float64 cannot hold is a numeric failure: scipy can return
     NaN for it without an overflow warning."""
-    M = np.asarray(M, dtype=float)
-    if t == 0.0:
-        return np.eye(M.shape[0])
-    E = scipy.linalg.expm(t * M)
+    E = scipy.linalg.expm(t * np.asarray(M, dtype=float))
     if not np.isfinite(E).all():
         raise KolmotkError(f"e^(tM) is not representable in float64 at t={t:g}")
     return E

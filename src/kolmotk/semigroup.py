@@ -72,51 +72,46 @@ def _pair_steps(t: float) -> int:
     return 2 * max(16, math.ceil(96 * t))
 
 
-def _mean_stderr(values):
-    values = np.asarray(values, dtype=float)
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
-
-
-def _endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=0, threads=1,
-               method="direct", with_variation=False):
-    """``girsanov_endpoints`` (Z, log_phi) for ``method="girsanov"``,
-    ``simulate_endpoints`` (X,) or (X, eta) otherwise, except that for F == 0
-    it draws the exact law X_t = e^{tA} x + S xi with S S' = Q_t, log_phi = 0
-    and eta = e^{tA}: the xi of path p (``path_offset`` counts) is normals
-    [p n, (p+1) n) of the seed's exact region, shared by every start and any
-    threads."""
-    if not spec.F.is_zero:
-        if method == "girsanov":
-            return girsanov_endpoints(spec, x0s, t, steps, seed, n_paths,
-                                      path_offset=path_offset, threads=threads)
-        out = simulate_endpoints(spec, x0s, t, steps, seed, n_paths, path_offset=path_offset,
-                                 threads=threads, with_variation=with_variation)
-        return out if with_variation else (out,)
-    xi = _normals(seed, _EXACT, path_offset * spec.n, n_paths * spec.n).reshape(n_paths, spec.n)
-    g = gramian(spec, t)
-    X = _gaussian_endpoints(g, x0s, xi)
-    if method == "girsanov":
-        return X, np.zeros(X.shape[:2])
-    if with_variation:
-        return X, np.broadcast_to(g.exp, X.shape + (spec.n,))
-    return (X,)
-
-
-def _path_values(values, spec, x0s, t, steps, *args, **kwargs):
-    """Per-path values of ``values``, a map from what ``_endpoints`` returns
-    for the starts x0s (m, n) to one value per path.  With ``steps`` None on
-    a drifted operator they are the Talay-Tubaro extrapolation
-    2 g_K - g_{K/2} of a first-order scheme: g_K on K = ``_pair_steps(t)``
-    steps and g_{K/2} on the pair-summed increments of the same draw.
-    Otherwise they are g on ``steps``, which ``_endpoints`` ignores for
-    F == 0."""
+def _estimate(values, method, spec, x0s, t, steps, seed, n_paths, path_offset=0, threads=1):
+    """``MCEstimate`` labelled ``method`` of the per-path values that
+    ``values`` maps the endpoints of the starts x0s (m, n) to: Z and log_phi
+    from ``girsanov_endpoints`` for ``"girsanov"``, X and eta from
+    ``simulate_endpoints`` for ``"pathwise"``, and X alone otherwise.  For
+    F == 0 they are drawn from the exact law X_t = e^{tA} x + S xi with
+    S S' = Q_t, log_phi = 0 and eta = e^{tA}, and ``steps`` is ignored: the
+    xi of path p (``path_offset`` counts) is normals [p n, (p+1) n) of the
+    seed's exact region, shared by every start and any threads.  With
+    ``steps`` None on a drifted operator the values are the Talay-Tubaro
+    extrapolation 2 g_K - g_{K/2} of a first-order scheme: g_K on
+    K = ``_pair_steps(t)`` steps and g_{K/2} on the pair-summed increments
+    of the same draw."""
     x0s = np.atleast_2d(x0s)
-    if steps is None and not spec.F.is_zero:
-        out = _endpoints(spec, x0s, t, _Pair(_pair_steps(t)), *args, **kwargs)
+    K = _Pair(_pair_steps(t)) if steps is None and not spec.F.is_zero else steps
+    if spec.F.is_zero:
+        xi = _normals(seed, _EXACT, path_offset * spec.n, n_paths * spec.n).reshape(n_paths, spec.n)
+        g = gramian(spec, t)
+        X = _gaussian_endpoints(g, x0s, xi)
+        if method == "girsanov":
+            out = X, np.zeros(X.shape[:2])
+        elif method == "pathwise":
+            out = X, np.broadcast_to(g.exp, X.shape + (spec.n,))
+        else:
+            out = (X,)
+    elif method == "girsanov":
+        out = girsanov_endpoints(spec, x0s, t, K, seed, n_paths, path_offset=path_offset,
+                                 threads=threads)
+    else:
+        out = simulate_endpoints(spec, x0s, t, K, seed, n_paths, path_offset=path_offset,
+                                 threads=threads, with_variation=method == "pathwise")
+        out = out if method == "pathwise" else (out,)
+    if isinstance(K, _Pair):
         m = len(x0s)
-        return (2.0 * values(tuple(a[:m] for a in out))
-                - values(tuple(a[m:] for a in out)))
-    return values(_endpoints(spec, x0s, t, steps, *args, **kwargs))
+        v = 2.0 * values(tuple(a[:m] for a in out)) - values(tuple(a[m:] for a in out))
+    else:
+        v = values(out)
+    v = np.asarray(v, dtype=float)
+    return MCEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size)), n_paths,
+                      int(seed), method)
 
 
 def evaluate(
@@ -146,11 +141,8 @@ def evaluate(
     def values(out):
         return f(out[0][0]) if method == "direct" else f(out[0][0]) * np.exp(out[1][0])
 
-    mean, stderr = _mean_stderr(_path_values(
-        values, spec, np.asarray(x, dtype=float), t, steps, seed, budget,
-        path_offset=path_offset, threads=threads, method=method,
-    ))
-    return MCEstimate(mean=mean, stderr=stderr, n_paths=budget, seed=int(seed), method=method)
+    return _estimate(values, method, spec, np.asarray(x, dtype=float), t, steps, seed, budget,
+                     path_offset, threads)
 
 
 # --- derivatives ------------------------------------------------------------
@@ -184,11 +176,12 @@ def derivative_estimate(
     coordinates, order at most 3.
 
     ``fd``: central differences with shared noise across the shifted
-    starts.  ``pathwise``: first order only, E[<grad f(X_t), eta_i>] using
-    the variation flow (requires ``f.grad``), which is the exact derivative
-    of the exponential-Euler step e^{dtA}(I + dt DF(X)); its norm stays
-    below exp((||A|| + ||DF||) t), because each factor is at most
-    e^{dt(||A|| + ||DF||)}.  With drift, ``steps`` None gives either
+    starts, of a finite positive step ``eps`` per coordinate (by default
+    ``_default_eps``).  ``pathwise``: first order only,
+    E[<grad f(X_t), eta_i>] using the variation flow (requires ``f.grad``),
+    which is the exact derivative of the exponential-Euler step
+    e^{dtA}(I + dt DF(X)); its norm stays below exp((||A|| + ||DF||) t),
+    because each factor is at most e^{dt(||A|| + ||DF||)}.  With drift, ``steps`` None gives either
     method's extrapolated pair 2 g_K - g_{K/2}, as in ``evaluate``, and an
     explicit ``steps`` the plain estimate.  For F == 0 the endpoints are
     drawn exactly, one Gaussian per path shared by every start, the
@@ -205,6 +198,8 @@ def derivative_estimate(
         raise SingularGramian(f"t={t:g} below the minimum semigroup scale {TMIN:g}")
     if method not in ("fd", "pathwise"):
         raise ValueError(f"unknown method {method!r}")
+    if eps is not None and not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     x = np.asarray(x, dtype=float)
     n = spec.n
 
@@ -218,9 +213,7 @@ def derivative_estimate(
             X, eta = out
             return np.einsum("pn,pn->p", f.grad(X[0]), eta[0][:, :, multi_index[0] - 1])
 
-        mean, stderr = _mean_stderr(_path_values(along_eta, spec, x, t, steps, seed, budget,
-                                                 threads=threads, with_variation=True))
-        return MCEstimate(mean, stderr, budget, int(seed), "pathwise")
+        return _estimate(along_eta, "pathwise", spec, x, t, steps, seed, budget, threads=threads)
 
     # group repeated coordinates into per-coordinate derivative orders
     orders: dict[int, int] = {}
@@ -239,11 +232,8 @@ def derivative_estimate(
         points = new
     starts = np.stack([x + sh for sh, _ in points])
     weights = np.array([w for _, w in points])
-    mean, stderr = _mean_stderr(_path_values(
-        lambda out: np.tensordot(weights, f(out[0]), axes=(0, 0)),
-        spec, starts, t, steps, seed, budget, threads=threads,
-    ))
-    return MCEstimate(mean, stderr, budget, int(seed), "fd")
+    return _estimate(lambda out: np.tensordot(weights, f(out[0]), axes=(0, 0)), "fd",
+                     spec, starts, t, steps, seed, budget, threads=threads)
 
 
 # --- quadrature schemes and solvers ----------------------------------------
@@ -368,14 +358,15 @@ def cosine_propagator(spec: OperatorSpec, f: ScalarField, times, weights) -> Sca
     """sum_i weights[i] P_{t_i} f in closed form, for F == 0 and a cosine
     mixture f: P_t maps c cos(<w, .>) to c e^{-<Q_t w, w>/2} cos(<e^{tA'} w, .>),
     and t = 0 gives P_0 f = f.  A time t < 0 is a ValueError: the semigroup
-    runs forward only, and there the factor e^{-<Q_t w, w>/2} exceeds 1."""
+    runs forward only, and there the factor e^{-<Q_t w, w>/2} exceeds 1.  So
+    are times and weights of different lengths."""
     if not spec.F.is_zero:
         raise ValueError("oracle requires zero nonlinear drift")
     if f.waves is None:
         raise ValueError("oracle requires a cosine-mixture field")
     W = f.waves
     coeffs, waves = [], []
-    for t, weight in zip(times, weights):
+    for t, weight in zip(times, weights, strict=True):
         t = float(t)
         if t < 0.0:
             raise ValueError(f"P_t needs t >= 0, got t={t:g}")
@@ -402,14 +393,12 @@ def ou_cosine_expectation(spec: OperatorSpec, w, t: float, x, amplitude: float =
 
 
 def elliptic_cosine_oracle_field(
-    spec: OperatorSpec, w, lam: float, scheme: QuadratureScheme, amplitude: float = 1.0,
-    box=None,
+    spec: OperatorSpec, w, lam: float, scheme: QuadratureScheme
 ) -> ScalarField:
-    """Deterministic resolvent of a cosine field for F == 0, on the same
-    quadrature as ``solve_elliptic``.
+    """Deterministic resolvent of the field cos(<w, .>) for F == 0, on the
+    same quadrature as ``solve_elliptic``.
 
     Returns u as a closed-form cosine sum, cheap to evaluate anywhere;
     used as the no-Monte-Carlo pipeline in oracle checks.
     """
-    f = ScalarField.cosine(w, amplitude, box=box)
-    return cosine_propagator(spec, f, *_resolvent_nodes(lam, scheme))
+    return cosine_propagator(spec, ScalarField.cosine(w), *_resolvent_nodes(lam, scheme))

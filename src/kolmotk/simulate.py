@@ -45,7 +45,6 @@ __all__ = [
     "simulate_endpoints",
     "girsanov_endpoints",
     "deterministic_flow",
-    "write_path_csv",
 ]
 
 CHUNK = 4096  # fixed path chunk; independent of thread count by design
@@ -332,14 +331,3 @@ def deterministic_flow(spec: OperatorSpec, x, t: float, steps: int) -> np.ndarra
         raise ValueError("steps >= 1")
     x0 = np.asarray(x, dtype=float)[None]
     return _x_run(spec, x0, t, steps, np.zeros((steps, 1, spec.p_tilde)), False)[0][0, 0]
-
-
-def write_path_csv(bundles, fileobj):
-    """Dump bundles as CSV: path_id, k, t, Z_1..Z_n, X_1..X_n, logPhi."""
-    coords = range(1, bundles[0].X.shape[1] + 1)
-    cols = ["path_id", "k", "t", *(f"Z_{i}" for i in coords), *(f"X_{i}" for i in coords), "logPhi"]
-    fileobj.write(",".join(cols) + "\n")
-    for b in bundles:
-        for k, t in enumerate(b.grid.times):
-            row = [repr(float(v)) for v in (t, *b.Z[k], *b.X[k], b.log_phi[k])]
-            fileobj.write(",".join([str(b.path_id), str(k)] + row) + "\n")

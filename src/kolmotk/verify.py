@@ -165,16 +165,15 @@ def check_flow_moments(
     t_grid,
     n_paths: int,
     seed: int,
-    x=None,
     tol: float = MC_SLOPE_TOL,
     threads: int = 1,
 ) -> list:
-    """Monte Carlo moments of the quasi-distance between the path X and the
-    deterministic flow Y, stepped on the same grid by the same
-    exponential-Euler step with zero noise: full norm slope q/2, block
+    """Monte Carlo moments of the quasi-distance between the path X from the
+    origin and the deterministic flow Y, stepped on the same grid by the
+    same exponential-Euler step with zero noise: full norm slope q/2, block
     slopes q(2h+1)/2."""
     t_grid = np.asarray(t_grid, dtype=float)
-    x = np.zeros(spec.n) if x is None else np.asarray(x, dtype=float)
+    x = np.zeros(spec.n)
     full_pts = []
     block_pts = [[] for _ in range(dec.k + 1)]
     for t in t_grid:
@@ -236,7 +235,7 @@ def _stability_report(name, ratio, n_fields, budget, seed, **provenance):
     )
 
 
-def _resolvent_field(spec, f, lam, scheme, seed, threads=1):
+def _resolvent_field(spec, f, lam, scheme, seed):
     """u = resolvent(f): exactly c / lam for a constant field (P_t 1 = 1),
     the closed-form cosine sum for a mixture when F == 0, and Monte Carlo
     point evaluations otherwise (slow; meant for small budgets)."""
@@ -247,9 +246,7 @@ def _resolvent_field(spec, f, lam, scheme, seed, threads=1):
 
     def u(x):
         x = np.atleast_2d(x)
-        return np.array(
-            [solve_elliptic(spec, f, lam, xi, scheme, seed, threads=threads).mean for xi in x]
-        )
+        return np.array([solve_elliptic(spec, f, lam, xi, scheme, seed).mean for xi in x])
 
     return ScalarField.from_callable(u, spec.n, box=f.box)
 
@@ -263,7 +260,6 @@ def check_schauder_ratio(
     budget: int,
     seed: int,
     scheme: QuadratureScheme | None = None,
-    threads: int = 1,
 ) -> CheckReport:
     """Stability of the sampled-surrogate Schauder ratio
     ||u||_{2+theta,d} / ||f||_{theta,d} under budget doubling.
@@ -274,7 +270,7 @@ def check_schauder_ratio(
     if scheme is None:
         sups = [1.0 if f.coeffs is None else np.abs(f.coeffs).sum() for f in family]
         scheme = QuadratureScheme.build(lam, max([1.0, *sups]))
-    resolvents = [_resolvent_field(spec, f, lam, scheme, seed, threads=threads) for f in family]
+    resolvents = [_resolvent_field(spec, f, lam, scheme, seed) for f in family]
 
     def ratio(j, b):
         return (holder_norm(resolvents[j], 2.0 + theta, dec, b, seed),

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kolmotk import cli, semigroup
+from kolmotk import PathGrid, cli, parse_config, semigroup, simulate_bundle
 from kolmotk.cli import main
 
 OP_2D = {
@@ -295,13 +295,33 @@ def test_evaluate_dump_paths(tmp_path):
 
 
 def test_evaluate_dump_paths_on_estimator_grid(tmp_path):
-    """Without 'steps' the dump steps default_steps(t), as evaluate does."""
+    """Without 'steps' the dump steps default_steps(t), the plain grid, even
+    where a drifted evaluate steps the extrapolated pair of _pair_steps(t)."""
     doc = {"operator": OP_NL, "t": 0.2, "budget": 10, "seed": 1,
            "dump_paths": 2, "field": {"type": "const", "value": 1.0}}
     cfg = write_cfg(tmp_path, doc)
     assert run(["evaluate", "--config", cfg, "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "paths.csv").read_text().splitlines()
     assert len(lines) == 1 + 2 * (semigroup.default_steps(0.2) + 1)
+
+
+def test_evaluate_paths_csv_format(tmp_path):
+    """paths.csv is CSV under either --format: the header, one row per grid
+    time, and floats written by repr, so a value reads back exactly."""
+    doc = {"operator": OP_2D, "t": 0.1, "budget": 10, "seed": 1, "steps": 2,
+           "dump_paths": 1, "field": {"type": "const", "value": 1.0}}
+    cfg = write_cfg(tmp_path, doc)
+    for fmt in ("csv", "json"):
+        out = str(tmp_path / fmt)
+        assert run(["evaluate", "--config", cfg, "--out", out, "--format", fmt]) == 0
+    raw = (tmp_path / "csv" / "paths.csv").read_bytes()
+    assert (tmp_path / "json" / "paths.csv").read_bytes() == raw
+    lines = raw.decode().splitlines()
+    assert lines[0] == "path_id,k,t,Z_1,Z_2,X_1,X_2,logPhi"
+    assert len(lines) == 1 + 3  # header + steps + 1 rows
+    assert lines[1].split(",")[:3] == ["0", "0", "0.0"]
+    b = simulate_bundle(parse_config(doc).operator, np.zeros(2), PathGrid(0.1, 2), 1, path_id=0)
+    assert float(lines[2].split(",")[3]) == b.Z[1, 0]
 
 
 def test_solve_elliptic_constant(tmp_path):

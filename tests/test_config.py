@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kolmotk import ConfigError, field_from_config, load_config, parse_config
-from kolmotk.config import config_to_dict
 
 DOC = {
     "operator": {
@@ -86,31 +85,6 @@ def test_field_encodings():
         field_from_config({"type": "sinh", "w": [1, 0]}, 2)
     with pytest.raises(ConfigError, match="length"):
         field_from_config({"type": "cos", "w": [1.0]}, 2)
-
-
-def test_round_trip():
-    cfg = parse_config(DOC)
-    doc2 = config_to_dict(cfg)
-    cfg2 = parse_config(doc2)
-    assert np.allclose(cfg2.operator.A, cfg.operator.A)
-    for t1, t2 in zip(cfg.operator.F.terms, cfg2.operator.F.terms):
-        assert (t1.i, t1.c, t1.b) == (t2.i, t2.c, t2.b)
-        assert np.array_equal(t1.a, t2.a)
-    assert cfg2.param("seed") == cfg.param("seed")
-    f1, f2 = cfg.param("field"), cfg2.param("field")
-    assert np.allclose(f1.waves[0], f2.waves[0])
-    # a second round trip is exact
-    assert config_to_dict(cfg2) == doc2
-
-
-def test_round_trip_keeps_constant_value_and_box_exactly():
-    box = [[-1.0, 2.5], [0.0, 3.0]]
-    doc = dict(DOC, fields=[{"type": "const", "value": 0.1234567, "box": box},
-                            {"type": "cos", "w": [1.0, 0.5], "amplitude": 2.0, "box": box}])
-    out = config_to_dict(parse_config(doc))["fields"]
-    assert out[0]["value"] == 0.1234567
-    assert [d["box"] for d in out] == [box, box]
-    assert out[1]["w"] == [1.0, 0.5] and out[1]["amplitude"] == 2.0
 
 
 def test_load_config(tmp_path):

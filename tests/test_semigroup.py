@@ -63,6 +63,14 @@ def test_cosine_propagator_sums_single_term_oracles():
         cosine_propagator(SPEC_OU, ScalarField.from_callable(np.sin, 2), [0.5], [1.0])
 
 
+@pytest.mark.parametrize("times, weights", [([0.5, 1.0], [1.0]), ([0.5], [1.0, 2.0])],
+                         ids=["extra-time", "extra-weight"])
+def test_cosine_propagator_needs_one_weight_per_time(times, weights):
+    """A node without its weight is an error, not a term left out."""
+    with pytest.raises(ValueError):
+        cosine_propagator(SPEC_OU, COS, times, weights)
+
+
 def test_mixture_gradient_matches_central_differences():
     f = ScalarField.mixture([0.7, -1.3, 2.0], [[1.0, 0.5], [-2.0, 0.75], [0.0, 0.0]])
     x = np.array([[0.3, -0.4], [1.2, 0.9]])
@@ -153,6 +161,10 @@ def test_derivative_validation():
     with pytest.raises(ValueError, match="needs a field gradient"):
         derivative_estimate(SPEC_OU, ScalarField.from_callable(np.cos, 2), 0.3, X0, (1,), 100, 0,
                             method="pathwise")
+    for eps in (0.0, -0.01, float("nan"), float("inf")):  # a stencil step is finite and positive
+        for spec in (SPEC_OU, SPEC_NL):
+            with pytest.raises(ValueError, match="eps must be finite and positive"):
+                derivative_estimate(spec, COS, 0.3, X0, (1, 2), 100, 0, eps=eps)
 
 
 def test_quadrature_scheme_build():

@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 
@@ -17,7 +16,6 @@ from kolmotk import (
     sample_ou_endpoints,
     simulate_bundle,
     simulate_endpoints,
-    write_path_csv,
 )
 from kolmotk import simulate
 from kolmotk.simulate import _EXACT, _ROW, _STEPPING, _Pair, _normals, brownian_increments
@@ -279,20 +277,6 @@ def test_exponential_update_propagates_mean_exactly():
     Xe = simulate_endpoints(quiet, x, t, steps, 31, 4)
     exact = matrix_exp(quiet.A, t) @ x
     assert np.allclose(Xe[0], exact, atol=1e-6)
-
-
-def test_write_path_csv_format():
-    grid = PathGrid(0.1, 2)
-    b = simulate_bundle(SPEC_OU, np.zeros(2), grid, 1, path_id=0)
-    buf = io.StringIO()
-    write_path_csv([b], buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "path_id,k,t,Z_1,Z_2,X_1,X_2,logPhi"
-    assert len(lines) == 1 + 3  # header + steps + 1 rows
-    first = lines[1].split(",")
-    assert first[:3] == ["0", "0", "0.0"]
-    # round-trip float formatting
-    assert float(lines[2].split(",")[3]) == b.Z[1, 0]
 
 
 @pytest.mark.parametrize("region", [_STEPPING, _EXACT], ids=["stepping", "exact"])
