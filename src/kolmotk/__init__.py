@@ -47,8 +47,6 @@ from .semigroup import (
     solve_parabolic,
 )
 from .simulate import (
-    PathBundle,
-    PathGrid,
     deterministic_flow,
     girsanov_endpoints,
     sample_ou_endpoints,

@@ -21,7 +21,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, KolmotkError, NotHypoelliptic
 from .gramian import gramian
 from .semigroup import QuadratureScheme, default_steps, evaluate, solve_elliptic, solve_parabolic
-from .simulate import PathGrid, simulate_bundle
+from .simulate import simulate_bundle
 from .verify import check_exponential_blocks, check_flow_moments, check_gramian_scaling
 
 __all__ = ["main"]
@@ -108,15 +108,16 @@ def cmd_evaluate(cfg: RunConfig, args):
     print(f"wrote {path}")
     dump = cfg.param("dump_paths", 0)
     if dump:
-        grid = PathGrid(float(ts[0]), cfg.param("steps") or default_steps(float(ts[0])))
+        t = float(ts[0])
+        steps = cfg.param("steps") or default_steps(t)
         coords = range(1, spec.n + 1)
         header = ("path_id", "k", "t", *(f"Z_{i}" for i in coords), *(f"X_{i}" for i in coords),
                   "logPhi")
         rows = []
         for i in range(dump):
-            b = simulate_bundle(spec, x, grid, args.seed, path_id=i)
-            rows += [(b.path_id, k, t, *b.Z[k], *b.X[k], b.log_phi[k])
-                     for k, t in enumerate(grid.times)]
+            Z, X, log_phi = simulate_bundle(spec, x, t, steps, args.seed, path_id=i)
+            rows += [(i, k, s, *Z[k], *X[k], log_phi[k])
+                     for k, s in enumerate(np.linspace(0.0, t, steps + 1))]
         path = _write_rows(out / "paths", header, rows, "csv")  # CSV under either --format
         print(f"wrote {path}")
     return 0

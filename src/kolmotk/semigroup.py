@@ -12,13 +12,13 @@ bounded as the step shrinks.  With drift and no ``steps``, an estimate
 is the Talay-Tubaro extrapolation 2 g_K - g_{K/2} of the first-order
 exponential-Euler scheme, from a fine run of K = ``_pair_steps(t)`` steps
 and a coarse run on the pair-summed increments of the same draw; its
-stderr is that of the per-path values.  An explicit ``steps`` runs the
-plain estimator.  When F == 0 the endpoints are drawn from
-their exact Gaussian law instead of stepped, and ``cosine_propagator``
-maps a cosine mixture through P_t in closed form: every zero-drift oracle
-is that map followed by a quadrature sum.  Both solvers are one node sum,
-sum_j w_j P_{t_j} f_j(x), in which every node with t > 0 reads its own
-block of paths.
+stderr is that of the per-path values.  An explicit ``steps`` of
+``evaluate`` runs the plain estimator.  When F == 0 the endpoints are
+drawn from their exact Gaussian law instead of stepped, and
+``cosine_propagator`` maps a cosine mixture through P_t in closed form:
+every zero-drift oracle is that map followed by a quadrature sum.  Both
+solvers are one node sum, sum_j w_j P_{t_j} f_j(x), in which every node
+with t > 0 reads its own block of paths.
 """
 
 from __future__ import annotations
@@ -84,7 +84,11 @@ def _estimate(values, method, spec, x0s, t, steps, seed, n_paths, path_offset=0,
     ``steps`` None on a drifted operator the values are the Talay-Tubaro
     extrapolation 2 g_K - g_{K/2} of a first-order scheme: g_K on
     K = ``_pair_steps(t)`` steps and g_{K/2} on the pair-summed increments
-    of the same draw."""
+    of the same draw.  Every estimate's budget and t are checked here."""
+    if n_paths < 2:
+        raise ValueError("budget >= 2")
+    if t < TMIN:
+        raise SingularGramian(f"t={t:g} below the minimum semigroup scale {TMIN:g}")
     x0s = np.atleast_2d(x0s)
     K = _Pair(_pair_steps(t)) if steps is None and not spec.F.is_zero else steps
     if spec.F.is_zero:
@@ -131,10 +135,6 @@ def evaluate(
     the stderr of its per-path values, and an explicit ``steps`` the plain
     estimate on that grid.  For F == 0 the endpoints are drawn exactly
     from their Gaussian law and ``steps`` is ignored."""
-    if budget < 2:
-        raise ValueError("budget >= 2")
-    if t < TMIN:
-        raise SingularGramian(f"t={t:g} below the minimum semigroup scale {TMIN:g}")
     if method not in ("direct", "girsanov"):
         raise ValueError(f"unknown method {method!r}")
 
@@ -155,8 +155,10 @@ _STENCILS = {
 
 
 def _default_eps(spec: OperatorSpec, t: float, coord: int) -> float:
+    """max(1e-3, t^(h + 1/2) / 10) for the block h of ``coord``.  A t < 0,
+    which ``_estimate`` rejects after this, gets 1e-3, not a complex power."""
     h = spec.decomposition().block_of_coordinate(coord)
-    return max(1e-3, t ** (h + 0.5) / 10.0)
+    return max(1e-3, max(t, 0.0) ** (h + 0.5) / 10.0)
 
 
 def derivative_estimate(
@@ -169,7 +171,6 @@ def derivative_estimate(
     seed: int,
     eps: float | None = None,
     method: str = "fd",
-    steps: int | None = None,
     threads: int = 1,
 ) -> MCEstimate:
     """Spatial derivative of P_t f at x for a multi-index of 1-based
@@ -181,21 +182,16 @@ def derivative_estimate(
     E[<grad f(X_t), eta_i>] using the variation flow (requires ``f.grad``),
     which is the exact derivative of the exponential-Euler step
     e^{dtA}(I + dt DF(X)); its norm stays below exp((||A|| + ||DF||) t),
-    because each factor is at most e^{dt(||A|| + ||DF||)}.  With drift, ``steps`` None gives either
-    method's extrapolated pair 2 g_K - g_{K/2}, as in ``evaluate``, and an
-    explicit ``steps`` the plain estimate.  For F == 0 the endpoints are
-    drawn exactly, one Gaussian per path shared by every start, the
-    variation flow is e^{tA}, and ``steps`` is ignored.
+    because each factor is at most e^{dt(||A|| + ||DF||)}.  With drift,
+    either method gives its extrapolated pair 2 g_K - g_{K/2}, as in
+    ``evaluate``.  For F == 0 the endpoints are drawn exactly, one Gaussian
+    per path shared by every start, and the variation flow is e^{tA}.
     """
     multi_index = tuple(int(i) for i in multi_index)
-    if budget < 2:
-        raise ValueError("budget >= 2")
     if not (1 <= len(multi_index) <= 3):
         raise ValueError("multi-index order must be 1..3")
     if not all(1 <= i <= spec.n for i in multi_index):
         raise ValueError(f"multi-index coordinates must be in 1..{spec.n}")
-    if t < TMIN:
-        raise SingularGramian(f"t={t:g} below the minimum semigroup scale {TMIN:g}")
     if method not in ("fd", "pathwise"):
         raise ValueError(f"unknown method {method!r}")
     if eps is not None and not 0.0 < eps < math.inf:
@@ -213,7 +209,7 @@ def derivative_estimate(
             X, eta = out
             return np.einsum("pn,pn->p", f.grad(X[0]), eta[0][:, :, multi_index[0] - 1])
 
-        return _estimate(along_eta, "pathwise", spec, x, t, steps, seed, budget, threads=threads)
+        return _estimate(along_eta, "pathwise", spec, x, t, None, seed, budget, threads=threads)
 
     # group repeated coordinates into per-coordinate derivative orders
     orders: dict[int, int] = {}
@@ -233,7 +229,7 @@ def derivative_estimate(
     starts = np.stack([x + sh for sh, _ in points])
     weights = np.array([w for _, w in points])
     return _estimate(lambda out: np.tensordot(weights, f(out[0]), axes=(0, 0)), "fd",
-                     spec, starts, t, steps, seed, budget, threads=threads)
+                     spec, starts, t, None, seed, budget, threads=threads)
 
 
 # --- quadrature schemes and solvers ----------------------------------------
@@ -277,13 +273,15 @@ class QuadratureScheme:
         )
 
     def nodes(self):
-        xg, wg = np.polynomial.legendre.leggauss(self.nodes_per_panel)
-        ts, ws = [], []
-        for a, b in zip(self.panels[:-1], self.panels[1:]):
-            half = 0.5 * (b - a)
-            ts.append(a + half * (xg + 1.0))
-            ws.append(half * wg)
-        return np.concatenate(ts), np.concatenate(ws)
+        return _gauss_legendre(self.panels, self.nodes_per_panel)
+
+
+def _gauss_legendre(bounds, m):
+    """Nodes and weights of the m-point Gauss-Legendre rule on each interval
+    of the increasing ``bounds``, concatenated."""
+    xg, wg = np.polynomial.legendre.leggauss(m)
+    a, half = bounds[:-1, None], 0.5 * np.diff(bounds)[:, None]
+    return (a + half * (xg + 1.0)).ravel(), (half * wg).ravel()
 
 
 def _node_sum(spec, fields, times, weights, x, paths, seed, threads, kind):
@@ -342,12 +340,10 @@ def solve_parabolic(
         raise SingularGramian(f"t={t:g} not above the minimum semigroup scale {scheme.t_min:g}")
     fields, ts, ws = [g], [t], [1.0]
     if H is not None:
-        xg, wg = np.polynomial.legendre.leggauss(scheme.nodes_per_panel * 2)
-        half = 0.5 * (t - scheme.t_min)
-        ss = half * (xg + 1.0)
+        ss, wg = _gauss_legendre(np.array([0.0, t - scheme.t_min]), scheme.nodes_per_panel * 2)
         fields += [H(float(s)) for s in ss] + [H(t)]
         ts += [*(t - ss), 0.0]
-        ws += [*(half * wg), scheme.t_min]
+        ws += [*wg, scheme.t_min]
     return _node_sum(spec, fields, ts, ws, x, scheme.paths_per_node, seed, threads, "parabolic")
 
 
@@ -387,9 +383,9 @@ def _resolvent_nodes(lam, scheme):
     return np.concatenate([[0.0], ts]), np.concatenate([[head], ws * np.exp(-lam * ts)])
 
 
-def ou_cosine_expectation(spec: OperatorSpec, w, t: float, x, amplitude: float = 1.0) -> float:
-    """P_t [a cos(<w, .>)](x) for F == 0:  a e^{-<Q_t w, w>/2} cos(<w, e^{tA} x>)."""
-    return float(cosine_propagator(spec, ScalarField.cosine(w, amplitude), [t], [1.0])(x))
+def ou_cosine_expectation(spec: OperatorSpec, w, t: float, x) -> float:
+    """P_t [cos(<w, .>)](x) for F == 0:  e^{-<Q_t w, w>/2} cos(<w, e^{tA} x>)."""
+    return float(cosine_propagator(spec, ScalarField.cosine(w), [t], [1.0])(x))
 
 
 def elliptic_cosine_oracle_field(

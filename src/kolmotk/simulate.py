@@ -21,8 +21,10 @@ paths are chunked across threads.  Handed a private ``_Pair`` K as
 ``steps``, a stepper also runs the coarse twin of K/2 steps on the
 pair-summed rows of the same draw, which the extrapolated estimates in
 ``semigroup`` read.  ``simulate_bundle`` stacks every state both runs
-reach on one path, so a dumped path is the arithmetic the estimators
-run, and ``deterministic_flow`` is the X stepper fed zero increments.
+reach on one path: the same kernel on the same increments, on the grid
+it is given, and ``deterministic_flow`` is the X stepper fed zero
+increments.  Every run checks its grid in ``_dt``: at least one step to
+a finite t > 0.
 The exact F == 0 law takes no steps: path p owns normals [p n, (p+1) n)
 of its region.
 """
@@ -30,7 +32,7 @@ of its region.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -38,8 +40,6 @@ from .gramian import gramian
 from .operators import DriftField, OperatorSpec, matrix_exp
 
 __all__ = [
-    "PathGrid",
-    "PathBundle",
     "sample_ou_endpoints",
     "simulate_bundle",
     "simulate_endpoints",
@@ -52,33 +52,6 @@ BLOCK = 64  # steps whose noise (and Girsanov path points) are held at once
 _STEPPING, _STENCIL, _EXACT = 0, 1 << 254, 1 << 255  # regions: top counter word 0, 2^62, 2^63
 _ROW = 1 << 128  # one unit of counter word 2, which numbers a region's rows
 _LINEAR = DriftField()  # F == 0: the drift that steps the Girsanov linear path
-
-
-@dataclass(frozen=True)
-class PathGrid:
-    t_end: float
-    steps: int
-
-    def __post_init__(self):
-        if self.steps < 1 or self.t_end <= 0.0:
-            raise ValueError("need t_end > 0 and steps >= 1")
-
-    @property
-    def dt(self):
-        return self.t_end / self.steps
-
-    @property
-    def times(self):
-        return np.linspace(0.0, self.t_end, self.steps + 1)
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    grid: PathGrid
-    Z: np.ndarray  # (K+1, n) linear reference path
-    X: np.ndarray  # (K+1, n) full path
-    log_phi: np.ndarray  # (K+1,) running Girsanov log-weight
-    path_id: int
 
 
 # --- indexed Gaussian streams ------------------------------------------------
@@ -162,10 +135,19 @@ def _levels(steps, dW):
         yield steps // 2, dW[0::2] + dW[1::2]
 
 
+def _dt(t, steps):
+    """The step t / steps of a run, which must take at least one step to
+    a finite t > 0: any other grid would step backward, not at all or to
+    NaN."""
+    if not (steps >= 1 and 0.0 < t < math.inf):
+        raise ValueError(f"need steps >= 1 and 0 < t < inf, got steps={steps!r}, t={t!r}")
+    return t / steps
+
+
 def _stepping(spec: OperatorSpec, t, steps, dW):
     """What a stepper is handed for a run of ``steps`` steps on the
     increments dW: dt, e^{dtA} and their noise blocks."""
-    dt = t / steps
+    dt = _dt(t, steps)
     eAdt = matrix_exp(spec.A, dt)
     return dt, eAdt, _noise_blocks(eAdt @ spec.Q_sqrt[:, :spec.p_tilde], dW)
 
@@ -243,8 +225,7 @@ def _run_chunks(kernel, spec, x0s, t, steps, seed, n_paths, path_offset, threads
     fixed chunk of paths, the runs' outputs joined along the starts axis
     and the chunks' along the path axis; chunking does not depend on
     ``threads``."""
-    if steps < 1:
-        raise ValueError("steps >= 1")
+    dt = _dt(t, steps)
     if n_paths < 1:
         raise ValueError("n_paths >= 1")
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
@@ -254,7 +235,7 @@ def _run_chunks(kernel, spec, x0s, t, steps, seed, n_paths, path_offset, threads
     ]
 
     def run(ids):
-        dW = brownian_increments(seed, ids, steps, spec.p_tilde, t / steps)
+        dW = brownian_increments(seed, ids, steps, spec.p_tilde, dt)
         runs = [kernel(spec, x0s, t, k, dWk, *args) for k, dWk in _levels(steps, dW)]
         return runs[0] if len(runs) == 1 else tuple(np.concatenate(r) for r in zip(*runs))
 
@@ -308,26 +289,25 @@ def girsanov_endpoints(
     return _run_chunks(_z_run, spec, x0s, t, steps, seed, n_paths, path_offset, threads)
 
 
-def simulate_bundle(spec: OperatorSpec, x, grid: PathGrid, seed: int, path_id: int = 0) -> PathBundle:
-    """Full record of one path: Z, X and the running log-weight after every
-    step, stacked from the kernel the endpoint steppers run, on that path's
+def simulate_bundle(spec: OperatorSpec, x, t: float, steps: int, seed: int, path_id: int = 0):
+    """Full record of one path of ``steps`` steps to t: Z (steps+1, n), X
+    (steps+1, n) and the running log-weight (steps+1,) after every step,
+    stacked from the kernel the endpoint steppers run, on that path's
     noise."""
     x0 = np.asarray(x, dtype=float)
     ids = range(int(path_id), int(path_id) + 1)
-    dW = brownian_increments(seed, ids, grid.steps, spec.p_tilde, grid.dt)
-    dt, eAdt, blocks = _stepping(spec, grid.t_end, grid.steps, dW)
+    dW = brownian_increments(seed, ids, steps, spec.p_tilde, _dt(t, steps))
+    dt, eAdt, blocks = _stepping(spec, t, steps, dW)
     noise = np.concatenate([block.copy() for _, block in blocks])  # blocks share one buffer
     X, Z = (np.stack([x0] + [Y[0] for Y, _ in _x_steps(F, x0[None], dt, eAdt, noise, False)])
             for F in (spec.F, _LINEAR))
     G = spec.girsanov_noise(Z[:-1, None, None])
-    dlog = [_log_weight(G[k:k + 1], dW[k:k + 1], dt)[0, 0] for k in range(grid.steps)]
-    return PathBundle(grid, Z, X, np.cumsum([0.0] + dlog), int(path_id))
+    dlog = [_log_weight(G[k:k + 1], dW[k:k + 1], dt)[0, 0] for k in range(steps)]
+    return Z, X, np.cumsum([0.0] + dlog)
 
 
 def deterministic_flow(spec: OperatorSpec, x, t: float, steps: int) -> np.ndarray:
     """The noiseless drift flow Y_t (n,) from x: the X stepper on one path
     fed zero increments, Y' = e^{dtA}(Y + dt F(Y))."""
-    if steps < 1:
-        raise ValueError("steps >= 1")
     x0 = np.asarray(x, dtype=float)[None]
     return _x_run(spec, x0, t, steps, np.zeros((steps, 1, spec.p_tilde)), False)[0][0, 0]

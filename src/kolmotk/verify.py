@@ -24,6 +24,7 @@ from .kalman import KalmanDecomposition
 from .operators import OperatorSpec, matrix_exp
 from .semigroup import (
     QuadratureScheme,
+    _gauss_legendre,
     _resolvent_nodes,
     cosine_propagator,
     default_steps,
@@ -165,7 +166,6 @@ def check_flow_moments(
     t_grid,
     n_paths: int,
     seed: int,
-    tol: float = MC_SLOPE_TOL,
     threads: int = 1,
 ) -> list:
     """Monte Carlo moments of the quasi-distance between the path X from the
@@ -186,20 +186,11 @@ def check_flow_moments(
         for h in range(dec.k + 1):
             block_pts[h].append((t, float(np.mean(comps[:, h] ** q))))
     prov = {"seed": seed, "n_paths": n_paths, "q": q}
-    reports = [
-        _exponent_report(f"flow-moment full q={q:g}", fit_exponent(full_pts), q / 2.0, tol, prov)
-    ]
-    for h in range(dec.k + 1):
-        reports.append(
-            _exponent_report(
-                f"flow-moment block h={h} q={q:g}",
-                fit_exponent(block_pts[h]),
-                q * (2 * h + 1) / 2.0,
-                tol,
-                prov,
-            )
-        )
-    return reports
+    fits = [(f"flow-moment full q={q:g}", full_pts, q / 2.0)] + [
+        (f"flow-moment block h={h} q={q:g}", block_pts[h], q * (2 * h + 1) / 2.0)
+        for h in range(dec.k + 1)]
+    return [_exponent_report(name, fit_exponent(pts), expected, MC_SLOPE_TOL, prov)
+            for name, pts, expected in fits]
 
 
 # --- Schauder ratio stability ------------------------------------------------
@@ -298,12 +289,9 @@ def check_parabolic_schauder_ratio(
     """
     if not spec.F.is_zero:
         raise ValueError("parabolic ratio check runs on the zero-drift pipeline")
-    xg, wg = np.polynomial.legendre.leggauss(32)
-    cauchy = [
-        [cosine_propagator(spec, f, [t, *(0.5 * t * (xg + 1.0))], [1.0, *(0.5 * t * wg)])
-         for t in map(float, t_grid)]
-        for f in family
-    ]
+    rules = [(t, *_gauss_legendre(np.array([0.0, t]), 32)) for t in map(float, t_grid)]
+    cauchy = [[cosine_propagator(spec, f, [t, *s], [1.0, *w]) for t, s, w in rules]
+              for f in family]
 
     def ratio(j, b):
         f = family[j]

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kolmotk import PathGrid, cli, parse_config, semigroup, simulate_bundle
+from kolmotk import cli, parse_config, semigroup, simulate_bundle
 from kolmotk.cli import main
 
 OP_2D = {
@@ -107,18 +107,28 @@ def test_bad_seed_and_budget_exit_code(tmp_path, capsys, command, extra, flags):
     ("verify", {"s_grid": [-1, 0.01, 0.1]}),
     ("verify", {"q": 0}),
     ("verify", {"q": -1, "n_paths": 100}),
+    ("evaluate --threads 0", {}),
+    ("evaluate", [{"operator": OP_2D, "t": 0.5}]),
+    ("evaluate", {"field": 3}),
+    ("evaluate", {"operator": dict(OP_2D, p_tilde=2, Q0=[[1.0, 0.5], [0.0, 1.0]])}),
+    ("solve", {"fields": [{"type": "const", "value": 1.0}]}),
 ], ids=["steps-0", "steps-0-dump-paths", "t-nan", "t-negative", "t-grid-negative", "t-bool",
         "x-wrong-length", "lambda-negative", "tol-negative", "threads-0", "theta-unknown",
         "gamma-unknown", "drift-b-null", "drift-i-fraction",
         "drift-a-nan", "drift-not-array", "A-nan", "A-inf", "Q0-inf", "field-value-null",
         "field-w-inf", "fields-not-array", "Q0-string", "A-bool", "A-row-not-array",
-        "s-grid-zero", "s-grid-negative", "q-zero", "q-negative"])
+        "s-grid-zero", "s-grid-negative", "q-zero", "q-negative", "flag-threads-0",
+        "document-array", "field-number", "Q0-asymmetric", "parabolic-one-field"])
 def test_bad_config_value_exit_code(tmp_path, capsys, command, extra):
-    doc = {"operator": OP_2D, "t": 0.5, "field": {"type": "const", "value": 1.0}, **extra}
+    """``command`` may carry flags; an ``extra`` that is not an object is
+    the whole config document.  No case leaves an artifact."""
+    doc = extra if isinstance(extra, list) else {
+        "operator": OP_2D, "t": 0.5, "field": {"type": "const", "value": 1.0}, **extra}
     cfg = write_cfg(tmp_path, doc)
-    assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert run([*command.split(), "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("config_threads, flags, expected", [
@@ -320,8 +330,8 @@ def test_evaluate_paths_csv_format(tmp_path):
     assert lines[0] == "path_id,k,t,Z_1,Z_2,X_1,X_2,logPhi"
     assert len(lines) == 1 + 3  # header + steps + 1 rows
     assert lines[1].split(",")[:3] == ["0", "0", "0.0"]
-    b = simulate_bundle(parse_config(doc).operator, np.zeros(2), PathGrid(0.1, 2), 1, path_id=0)
-    assert float(lines[2].split(",")[3]) == b.Z[1, 0]
+    Z, _, _ = simulate_bundle(parse_config(doc).operator, np.zeros(2), 0.1, 2, 1, path_id=0)
+    assert float(lines[2].split(",")[3]) == Z[1, 0]
 
 
 def test_solve_elliptic_constant(tmp_path):

@@ -51,8 +51,8 @@ def test_cosine_propagator_sums_single_term_oracles():
     u = cosine_propagator(SPEC_OU, f, times, weights)
     for x in (X0, np.array([-1.5, 0.8])):
         expected = sum(
-            wt * (ou_cosine_expectation(SPEC_OU, w1, t, x, 0.7)
-                  + ou_cosine_expectation(SPEC_OU, w2, t, x, -1.3))
+            wt * (0.7 * ou_cosine_expectation(SPEC_OU, w1, t, x)
+                  - 1.3 * ou_cosine_expectation(SPEC_OU, w2, t, x))
             if t > 0 else wt * float(f(x))
             for t, wt in zip(times, weights)
         )
@@ -270,8 +270,8 @@ def test_zero_drift_ignores_steps_and_threads():
     assert len({(e.mean, e.stderr) for e in runs}) == 1
     for method, multi_index in (("fd", (1, 2)), ("fd", (2, 2, 2)), ("pathwise", (2,))):
         ests = {derivative_estimate(SPEC_OU, COS, 0.3, X0, multi_index, 5000, 12,
-                                    method=method, steps=s, threads=th)
-                for s in (None, 3, 500) for th in (1, 4)}
+                                    method=method, threads=th)
+                for th in (1, 4)}
         assert len(ests) == 1
 
 
@@ -372,11 +372,7 @@ def test_explicit_steps_keep_the_plain_estimator():
     are the values the library gave before the extrapolated default."""
     ests = [evaluate(SPEC_NL, COS, 0.3, X0, 300, 5, method=m, steps=40)
             for m in ("direct", "girsanov")]
-    ests += [derivative_estimate(SPEC_NL, COS, 0.3, X0, mi, 300, 5, method=m, steps=40)
-             for m, mi in (("pathwise", (2,)), ("fd", (1, 2)))]
     assert [(e.mean.hex(), e.stderr.hex()) for e in ests] == [
         ("0x1.8ddb249c310b8p-1", "0x1.0481c172f6b02p-6"),
         ("0x1.8bbc5f7bb1cfdp-1", "0x1.77ad4f4877b04p-7"),
-        ("-0x1.bcc66e553eecbp-4", "0x1.9d653d28253cbp-6"),
-        ("-0x1.bdccaf6048952p-1", "0x1.618155ad6c143p-6"),
     ]

@@ -8,7 +8,6 @@ from kolmotk import (
     DriftField,
     DriftTerm,
     OperatorSpec,
-    PathGrid,
     deterministic_flow,
     girsanov_endpoints,
     gramian,
@@ -37,12 +36,18 @@ def _exact_normals(seed, first, count):
     return _normals(seed, _EXACT, first, count)[0]
 
 
-def test_path_grid():
-    g = PathGrid(1.0, 4)
-    assert g.dt == 0.25
-    assert np.allclose(g.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(ValueError):
-        PathGrid(1.0, 0)
+def test_runs_reject_bad_grids():
+    """Every stepping run takes at least one step to a finite t > 0: a
+    negative, zero, NaN or infinite t would step backward, not at all or
+    to NaN."""
+    x = np.array([0.1, 0.2])
+    for t, steps in ((0.3, 0), (0.0, 8), (-0.5, 8), (math.nan, 8), (math.inf, 8)):
+        for run in (lambda: simulate_endpoints(SPEC_NL, x, t, steps, 1, 3),
+                    lambda: girsanov_endpoints(SPEC_NL, x, t, steps, 1, 3),
+                    lambda: simulate_bundle(SPEC_NL, x, t, steps, 1),
+                    lambda: deterministic_flow(SPEC_NL, x, t, steps)):
+            with pytest.raises(ValueError, match="steps >= 1"):
+                run()
 
 
 def test_exact_sampler_matches_gramian_moments():
@@ -197,30 +202,30 @@ def test_bundle_consistent_with_endpoints():
     exponential-Euler and Girsanov steps, written out here over more than
     one block of steps, and the last one is what both steppers return."""
     x0, seed, pid = np.array([0.1, -0.2]), 5, 2
-    grid = PathGrid(0.3, 70)
-    b = simulate_bundle(SPEC_NL, x0, grid, seed, path_id=pid)
-    dt = grid.dt
+    t, steps = 0.3, 70
+    bZ, bX, blog_phi = simulate_bundle(SPEC_NL, x0, t, steps, seed, path_id=pid)
+    dt = t / steps
     eAdt = matrix_exp(SPEC_NL.A, dt)
     eAS = eAdt @ SPEC_NL.Q_sqrt[:, :1]
     Z, X, lp = [x0], [x0], [0.0]
-    for dw in brownian_increments(seed, range(pid, pid + 1), grid.steps, 1, dt)[:, 0]:
+    for dw in brownian_increments(seed, range(pid, pid + 1), steps, 1, dt)[:, 0]:
         g = DRIFT.value(Z[-1])[:1]  # Q0 = 1, so G is F on the noisy coordinate
         lp.append(lp[-1] + g @ dw - 0.5 * dt * (g @ g))
         Z.append(eAdt @ Z[-1] + eAS @ dw)
         X.append(eAdt @ (X[-1] + dt * DRIFT.value(X[-1])) + eAS @ dw)
-    assert np.allclose(b.Z, Z, rtol=0.0, atol=1e-12)
-    assert np.allclose(b.X, X, rtol=0.0, atol=1e-12)
-    assert np.allclose(b.log_phi, lp, rtol=0.0, atol=1e-12)
-    Xe = simulate_endpoints(SPEC_NL, x0, 0.3, 70, seed, 1, path_offset=pid)
-    Ze, logphi = girsanov_endpoints(SPEC_NL, x0, 0.3, 70, seed, 1, path_offset=pid)
-    assert np.array_equal(b.X[-1], Xe[0, 0])
-    assert np.array_equal(b.Z[-1], Ze[0, 0])
-    assert np.isclose(b.log_phi[-1], logphi[0, 0], rtol=0.0, atol=1e-12)
+    assert np.allclose(bZ, Z, rtol=0.0, atol=1e-12)
+    assert np.allclose(bX, X, rtol=0.0, atol=1e-12)
+    assert np.allclose(blog_phi, lp, rtol=0.0, atol=1e-12)
+    Xe = simulate_endpoints(SPEC_NL, x0, t, steps, seed, 1, path_offset=pid)
+    Ze, logphi = girsanov_endpoints(SPEC_NL, x0, t, steps, seed, 1, path_offset=pid)
+    assert np.array_equal(bX[-1], Xe[0, 0])
+    assert np.array_equal(bZ[-1], Ze[0, 0])
+    assert np.isclose(blog_phi[-1], logphi[0, 0], rtol=0.0, atol=1e-12)
 
 
 def test_bundle_rejects_negative_path_id():
     with pytest.raises(ValueError, match="path indices must be >= 0"):
-        simulate_bundle(SPEC_NL, np.zeros(2), PathGrid(0.3, 8), 5, path_id=-1)
+        simulate_bundle(SPEC_NL, np.zeros(2), 0.3, 8, 5, path_id=-1)
 
 
 def test_deterministic_flow_zero_drift_is_matrix_exp():

@@ -110,7 +110,7 @@ def test_exponential_blocks_examples():
 
 def test_flow_moments_gaussian_blocks():
     reports = check_flow_moments(SPEC_2D, SPEC_2D.decomposition(), 2.0,
-                                 np.geomspace(1e-3, 1e-1, 7), 20000, 3, tol=0.1)
+                                 np.geomspace(1e-3, 1e-1, 7), 20000, 3)
     by_name = {r.name: r for r in reports}
     assert abs(by_name["flow-moment block h=0 q=2"].measured - 1.0) < 0.1
     assert abs(by_name["flow-moment block h=1 q=2"].measured - 3.0) < 0.1
