@@ -79,10 +79,11 @@ def cmd_gramian(cfg: RunConfig, args):
     header = ("t",) + tuple(
         f"Q_{i + 1}_{j + 1}" for i in range(spec.n) for j in range(spec.n)
     ) + ("min_eig_scaled", "seed")
+    seed = cfg.param("seed", 0)
     rows = []
     for t in ts:
         g = gramian(spec, float(t))
-        rows.append((float(t), *g.matrix.ravel().tolist(), g.min_eig_pre_clamp, args.seed))
+        rows.append((float(t), *g.matrix.ravel().tolist(), g.min_eig_pre_clamp, seed))
     path = _write_rows(_out_dir(args) / "gramian", header, rows, args.format)
     print(f"wrote {path}")
     return 0
@@ -93,15 +94,15 @@ def cmd_evaluate(cfg: RunConfig, args):
     f = cfg.require("field")
     ts = cfg.param("t_grid") or [cfg.require("t")]
     x = np.array(cfg.param("x", [0.0] * spec.n), dtype=float)
-    budget = args.budget if args.budget is not None else cfg.param("budget", 1000)
+    budget, seed = cfg.param("budget", 1000), cfg.param("seed", 0)
     method = cfg.param("method", "direct")
     out = _out_dir(args)
     header = ("t", "method", "mean", "stderr", "n_paths", "seed")
     rows = []
     for t in ts:
         est = evaluate(
-            spec, f, float(t), x, budget, args.seed,
-            method=method, steps=cfg.param("steps"), threads=args.threads,
+            spec, f, float(t), x, budget, seed,
+            method=method, steps=cfg.param("steps"), threads=cfg.param("threads", 1),
         )
         rows.append((float(t), est.method, est.mean, est.stderr, est.n_paths, est.seed))
     path = _write_rows(out / "evaluate", header, rows, args.format)
@@ -115,7 +116,7 @@ def cmd_evaluate(cfg: RunConfig, args):
                   "logPhi")
         rows = []
         for i in range(dump):
-            Z, X, log_phi = simulate_bundle(spec, x, t, steps, args.seed, path_id=i)
+            Z, X, log_phi = simulate_bundle(spec, x, t, steps, seed, path_id=i)
             rows += [(i, k, s, *Z[k], *X[k], log_phi[k])
                      for k, s in enumerate(np.linspace(0.0, t, steps + 1))]
         path = _write_rows(out / "paths", header, rows, "csv")  # CSV under either --format
@@ -126,7 +127,8 @@ def cmd_evaluate(cfg: RunConfig, args):
 def cmd_solve(cfg: RunConfig, args):
     spec = cfg.operator
     x = np.array(cfg.param("x", [0.0] * spec.n), dtype=float)
-    paths = args.budget if args.budget is not None else cfg.param("paths_per_node", 1000)
+    paths = cfg.param("paths_per_node", 1000)
+    seed, threads = cfg.param("seed", 0), cfg.param("threads", 1)
     header = ("kind", "parameter", "mean", "stderr", "n_paths", "seed")
     if "lambda" in cfg.params:
         f = cfg.require("field")
@@ -135,7 +137,7 @@ def cmd_solve(cfg: RunConfig, args):
         scheme = QuadratureScheme.build(
             lam, max(1.0, f_sup), tol=cfg.param("tol", 1e-4), paths_per_node=paths
         )
-        est = solve_elliptic(spec, f, lam, x, scheme, args.seed, threads=args.threads)
+        est = solve_elliptic(spec, f, lam, x, scheme, seed, threads=threads)
         rows = [("elliptic", lam, est.mean, est.stderr, est.n_paths, est.seed)]
     else:
         fields = cfg.require("fields")
@@ -144,7 +146,7 @@ def cmd_solve(cfg: RunConfig, args):
         g, Hf = fields
         t = float(cfg.require("t"))
         scheme = QuadratureScheme.build(1.0, 1.0, paths_per_node=paths)
-        est = solve_parabolic(spec, g, lambda s: Hf, t, x, scheme, args.seed, threads=args.threads)
+        est = solve_parabolic(spec, g, lambda s: Hf, t, x, scheme, seed, threads=threads)
         rows = [("parabolic", t, est.mean, est.stderr, est.n_paths, est.seed)]
     path = _write_rows(_out_dir(args) / "solve", header, rows, args.format)
     print(f"wrote {path}")
@@ -154,6 +156,7 @@ def cmd_solve(cfg: RunConfig, args):
 def cmd_verify(cfg: RunConfig, args):
     spec = cfg.operator
     dec = spec.decomposition()
+    seed = cfg.param("seed", 0)
     t_grid = cfg.param("t_grid") or np.geomspace(1e-4, 1e-1, 13).tolist()
     s_grid = cfg.param("s_grid") or np.geomspace(1e-3, 1e-1, 9).tolist()
     reports = []
@@ -163,19 +166,17 @@ def cmd_verify(cfg: RunConfig, args):
         reports += check_flow_moments(
             spec, dec, cfg.param("q", 2.0),
             cfg.param("t_grid") or np.geomspace(1e-3, 1e-1, 7).tolist(),
-            cfg.param("n_paths"), args.seed, threads=args.threads,
+            cfg.param("n_paths"), seed, threads=cfg.param("threads", 1),
         )
     out = _out_dir(args)
     header = ("name", "kind", "expected", "measured", "tolerance", "passed", "seed")
     rows = [
         (r.name, r.kind, "" if r.expected is None else r.expected,
-         r.measured, r.tolerance, r.passed, args.seed)
+         r.measured, r.tolerance, r.passed, seed)
         for r in reports
     ]
     path = _write_rows(out / "verify", header, rows, args.format)
-    pts_rows = [
-        (r.name, t, v, args.seed) for r in reports for t, v in r.points
-    ]
+    pts_rows = [(r.name, t, v, seed) for r in reports for t, v in r.points]
     pts_path = _write_rows(out / "verify_points", ("name", "t", "value", "seed"), pts_rows, args.format)
     n_fail = sum(not r.passed for r in reports)
     for r in reports:
@@ -219,17 +220,8 @@ def main(argv=None) -> int:
         # included, raises here instead of flowing on as inf or NaN
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            cfg = load_config(args.config)
-            if args.threads is None:
-                args.threads = cfg.param("threads", 1)
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            if args.seed is None:
-                args.seed = cfg.param("seed", 0)
-            elif not 0 <= args.seed < 2**64:
-                raise ConfigError("--seed must be an integer in [0, 2**64)")
-            if args.budget is not None and args.budget < 2:
-                raise ConfigError("--budget must be >= 2")
+            cfg = load_config(args.config, {"seed": args.seed, "threads": args.threads,
+                                            "budget": args.budget, "paths_per_node": args.budget})
             return _COMMANDS[args.command](cfg, args)
     except (ConfigError, NotHypoelliptic, ValueError) as exc:
         # a ValueError is a library precondition that the config did not meet

@@ -193,7 +193,9 @@ def parse_config(doc) -> RunConfig:
     return RunConfig(operator=operator, params=params)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides=None) -> RunConfig:
+    """Parse the config at ``path``, each non-None value of ``overrides``
+    (a CLI flag) replacing its key first, so a flag is checked as its key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -201,4 +203,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
+    if isinstance(doc, dict):
+        doc.update((key, v) for key, v in (overrides or {}).items() if v is not None)
     return parse_config(doc)

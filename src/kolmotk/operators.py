@@ -30,7 +30,7 @@ __all__ = ["DriftTerm", "DriftField", "OperatorSpec", "matrix_exp"]
 _SYM_TOL = 1e-12
 
 
-def matrix_exp(M, t=1.0):
+def matrix_exp(M, t):
     """Matrix exponential e^{t M} (scaling-and-squaring with a Pade core).
     One that float64 cannot hold is a numeric failure: scipy can return
     NaN for it without an overflow warning."""

@@ -87,6 +87,8 @@ def _estimate(values, method, spec, x0s, t, steps, seed, n_paths, path_offset=0,
     of the same draw.  Every estimate's budget and t are checked here."""
     if n_paths < 2:
         raise ValueError("budget >= 2")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     if t < TMIN:
         raise SingularGramian(f"t={t:g} below the minimum semigroup scale {TMIN:g}")
     x0s = np.atleast_2d(x0s)
@@ -257,8 +259,8 @@ class QuadratureScheme:
         panels_per_decade: int = 2,
     ):
         """Log-spaced panels from TMIN to a tail-bounded horizon."""
-        if lam <= 0.0:
-            raise ValueError("lambda must be positive")
+        if not (0.0 < lam < math.inf and 0.0 < tol < math.inf):
+            raise ValueError(f"lambda and tol must be finite and positive, got {lam!r}, {tol!r}")
         t_max = max(1.0, math.log(max(f_sup, tol) / (lam * tol)) / lam)
         n_panels = max(1, int(math.ceil(panels_per_decade * math.log10(t_max / TMIN))))
         bounds = np.geomspace(TMIN, t_max, n_panels + 1)
@@ -336,7 +338,7 @@ def solve_parabolic(
     semigroup times are floored at the minimum scale: on (t - t_min, t]
     the integrand is approximated by H(t, x).
     """
-    if t <= scheme.t_min:  # (t_min, t] must not be empty
+    if not t > scheme.t_min:  # (t_min, t] must not be empty, nor t NaN
         raise SingularGramian(f"t={t:g} not above the minimum semigroup scale {scheme.t_min:g}")
     fields, ts, ws = [g], [t], [1.0]
     if H is not None:
@@ -355,7 +357,7 @@ def cosine_propagator(spec: OperatorSpec, f: ScalarField, times, weights) -> Sca
     mixture f: P_t maps c cos(<w, .>) to c e^{-<Q_t w, w>/2} cos(<e^{tA'} w, .>),
     and t = 0 gives P_0 f = f.  A time t < 0 is a ValueError: the semigroup
     runs forward only, and there the factor e^{-<Q_t w, w>/2} exceeds 1.  So
-    are times and weights of different lengths."""
+    are a NaN time and times and weights of different lengths."""
     if not spec.F.is_zero:
         raise ValueError("oracle requires zero nonlinear drift")
     if f.waves is None:
@@ -364,7 +366,7 @@ def cosine_propagator(spec: OperatorSpec, f: ScalarField, times, weights) -> Sca
     coeffs, waves = [], []
     for t, weight in zip(times, weights, strict=True):
         t = float(t)
-        if t < 0.0:
+        if not t >= 0.0:
             raise ValueError(f"P_t needs t >= 0, got t={t:g}")
         if t == 0.0:
             eA, Qt = np.eye(spec.n), np.zeros((spec.n, spec.n))

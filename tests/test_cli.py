@@ -77,6 +77,24 @@ def test_bad_seed_and_budget_exit_code(tmp_path, capsys, command, extra, flags):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("flag, key, bad, good", [
+    ("--seed", "seed", -1, 3), ("--threads", "threads", 0, 2), ("--budget", "budget", 1, 8),
+])
+def test_flag_is_checked_as_its_config_key(tmp_path, capsys, flag, key, bad, good):
+    """A flag replaces its config key before the config is validated: a bad
+    value gives one error line from either, and a good flag replaces a bad
+    key."""
+    doc = {"operator": OP_2D, "t": 0.5, "field": {"type": "const", "value": 1.0}}
+    runs = [({key: bad}, []), ({}, [flag, str(bad)]), ({key: bad}, [flag, str(good)])]
+    errors = []
+    for extra, flags in runs:
+        cfg = write_cfg(tmp_path, {**doc, **extra})
+        errors.append((run(["evaluate", "--config", cfg, "--out", str(tmp_path), *flags]),
+                       capsys.readouterr().err))
+    assert errors[0] == errors[1] == (2, f"error: '{key}' must be an integer >= {bad + 1}\n")
+    assert errors[2] == (0, "")
+
+
 @pytest.mark.parametrize("command, extra", [
     ("evaluate", {"operator": OP_NL, "steps": 0}),
     ("evaluate", {"operator": OP_NL, "steps": 0, "dump_paths": 2}),

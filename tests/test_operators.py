@@ -10,7 +10,7 @@ def make_2d(drift=()):
 
 
 def test_matrix_exp_identity_and_nilpotent():
-    assert np.allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))
+    assert np.allclose(matrix_exp(np.zeros((3, 3)), 1.0), np.eye(3))
     N = np.array([[0.0, 0.0], [1.0, 0.0]])
     # nilpotent: e^{tN} = I + tN
     t = 0.7

@@ -104,6 +104,14 @@ def test_evaluate_validation():
         for method in ("direct", "girsanov"):
             with pytest.raises(ValueError, match="path indices must be >= 0"):
                 evaluate(spec, COS, 0.5, X0, 10, 3, method=method, steps=8, path_offset=-1)
+    # a non-finite time is one error on every operator; a NaN t would pass `t < TMIN`
+    scheme = QuadratureScheme.build(1.0, 1.0, paths_per_node=10)
+    for spec in (SPEC_OU, SPEC_NL):
+        for t in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="t must be finite"):
+                evaluate(spec, COS, t, X0, 10, 3)
+        with pytest.raises(SingularGramian):
+            solve_parabolic(spec, COS, None, float("nan"), X0, scheme, 3)
 
 
 def oracle_gradient(t, x):
@@ -158,6 +166,11 @@ def test_derivative_validation():
             derivative_estimate(SPEC_OU, COS, 0.3, X0, (1,), 1, 0, method=method)
     with pytest.raises(SingularGramian):
         derivative_estimate(SPEC_OU, COS, 1e-5, X0, (1,), 100, 0)
+    for spec in (SPEC_OU, SPEC_NL):
+        for t in (float("nan"), float("inf"), -float("inf")):
+            for method in ("fd", "pathwise"):
+                with pytest.raises(ValueError, match="t must be finite"):
+                    derivative_estimate(spec, COS, t, X0, (1,), 100, 0, method=method)
     with pytest.raises(ValueError, match="needs a field gradient"):
         derivative_estimate(SPEC_OU, ScalarField.from_callable(np.cos, 2), 0.3, X0, (1,), 100, 0,
                             method="pathwise")
@@ -177,8 +190,12 @@ def test_quadrature_scheme_build():
     val = float(np.sum(ws * np.exp(-2.0 * ts)))
     exact = (math.exp(-2.0 * s.t_min) - math.exp(-2.0 * s.t_max)) / 2.0
     assert np.isclose(val, exact, rtol=1e-8)
-    with pytest.raises(ValueError):
-        QuadratureScheme.build(0.0, 1.0)
+    # a rate and a tolerance are finite and positive
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            QuadratureScheme.build(bad, 1.0)
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            QuadratureScheme.build(1.0, 1.0, tol=bad)
 
 
 def test_elliptic_constant_solution():

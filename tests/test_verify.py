@@ -236,22 +236,19 @@ def test_schauder_ratio_constant_field_is_exact_under_drift():
     assert rep.provenance["ratios_base"] == [1.0 / lam]
 
 
-def test_schauder_ratio_monte_carlo_resolvent_under_drift():
-    """A cosine field under drift has no closed-form resolvent: u is read
-    point by point from solve_elliptic, reproducibly."""
-    lam = 2.0
-    scheme = QuadratureScheme.build(lam, 1.0, tol=1e-1, nodes_per_panel=2, paths_per_node=2)
-    assert len(scheme.nodes()[0]) == 16
-
-    def ratios():
-        rep = check_schauder_ratio(SPEC_NL, SPEC_NL.decomposition(),
-                                   [ScalarField.cosine([1.0, 0.5])], 0.5, lam, budget=2,
-                                   seed=4, scheme=scheme)
-        return rep.provenance["ratios_base"] + rep.provenance["ratios_doubled"]
-
-    first = ratios()
-    assert np.isfinite(first).all()
-    assert ratios() == first
+def test_schauder_checks_reject_drift_and_callable_fields():
+    """Both Schauder checks run on the closed-form pipeline only: a cosine
+    field under drift and a field built from a callable have no closed-form
+    resolvent, so each is a ValueError."""
+    scheme = QuadratureScheme.build(2.0, 1.0)
+    cases = [(SPEC_NL, ScalarField.cosine([1.0, 0.5])),
+             (SPEC_2D, ScalarField.from_callable(lambda x: np.cos(x[:, 0]), 2))]
+    for spec, f in cases:
+        dec = spec.decomposition()
+        with pytest.raises(ValueError, match="oracle requires"):
+            check_schauder_ratio(spec, dec, [f], 0.5, 2.0, budget=2, seed=4, scheme=scheme)
+        with pytest.raises(ValueError, match="oracle requires"):
+            check_parabolic_schauder_ratio(spec, dec, [f], 0.5, (0.5,), budget=2, seed=4)
 
 
 def test_closed_form_oracles_reject_negative_times():
@@ -267,6 +264,8 @@ def test_closed_form_oracles_reject_negative_times():
     with pytest.raises(ValueError, match="t >= 0"):
         check_parabolic_schauder_ratio(SPEC_2D, SPEC_2D.decomposition(), [f], 0.5, (-1.0,),
                                        budget=10, seed=0)
+    with pytest.raises(ValueError, match="t >= 0"):
+        cosine_propagator(SPEC_2D, f, [0.5, float("nan")], [1.0, 1.0])
     assert cosine_propagator(SPEC_2D, f, [0.0], [1.0])([0.2, -0.1]) == f([0.2, -0.1])
 
 
@@ -275,7 +274,8 @@ def test_schauder_ratio_needs_fields_of_positive_norm(family):
     """An empty family has no worst ratio and a zero field has none at all."""
     dec = SPEC_2D.decomposition()
     with pytest.raises(ValueError, match="Schauder ratio"):
-        check_schauder_ratio(SPEC_2D, dec, family, 0.5, 1.0, budget=50, seed=4)
+        check_schauder_ratio(SPEC_2D, dec, family, 0.5, 1.0, budget=50, seed=4,
+                             scheme=QuadratureScheme.build(1.0, 1.0))
     with pytest.raises(ValueError, match="Schauder ratio"):
         check_parabolic_schauder_ratio(SPEC_2D, dec, family, 0.5, (0.5,), budget=50, seed=4)
 
