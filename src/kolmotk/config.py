@@ -23,27 +23,12 @@ _OPERATOR_KEYS = {"n", "p_tilde", "Q0", "A", "drift"}
 _DRIFT_KEYS = {"i", "c", "a", "b"}
 _FIELD_KEYS = {"type", "value", "w", "amplitude", "box"}
 
-# every command parameter the CLI understands; anything else is a typo
-_PARAM_KEYS = {
-    "t",
-    "t_grid",
-    "s_grid",
-    "x",
-    "seed",
-    "threads",
-    "budget",
-    "n_paths",
-    "steps",
-    "lambda",
-    "q",
-    "method",
-    "field",
-    "fields",
-    "paths_per_node",
-    "tol",
-    "dump_paths",
-}
-_TOP_KEYS = {"operator"} | _PARAM_KEYS
+# every key a config may hold, each declared once; anything else is a typo
+_INTEGERS = {"seed": 0, "threads": 1, "budget": 2, "n_paths": 0, "steps": 1,
+             "paths_per_node": 2, "dump_paths": 0}  # each integer key's least value
+_POSITIVE = ("t", "lambda", "q", "tol")  # finite positive numbers
+_ARRAYS = ("t_grid", "s_grid", "x")  # non-empty flat arrays of finite numbers
+_TOP_KEYS = {"operator", "method", "field", "fields", *_INTEGERS, *_POSITIVE, *_ARRAYS}
 
 
 def _reject_unknown(d, allowed, where):
@@ -157,27 +142,25 @@ def parse_config(doc) -> RunConfig:
     _reject_unknown(doc, _TOP_KEYS, "config")
     operator = operator_from_config(_require(doc, "operator", "config"))
     params = {k: v for k, v in doc.items() if k != "operator"}
-    lowest = {"seed": 0, "threads": 1, "budget": 2, "n_paths": 0, "steps": 1,
-              "paths_per_node": 2, "dump_paths": 0}
-    for key, low in lowest.items():
+    for key, low in _INTEGERS.items():
         v = params.get(key, low)
         if type(v) is not int or v < low:
             raise ConfigError(f"'{key}' must be an integer >= {low}")
     if params.get("seed", 0) >= 2**64:
         raise ConfigError("'seed' must be below 2**64")
-    for key in ("t", "lambda", "q", "tol"):
+    for key in _POSITIVE:
         if key in params and not _is_number(params[key]):
             raise ConfigError(f"'{key}' must be a finite number")
-    for key in ("t_grid", "s_grid", "x"):
+    for key in _ARRAYS:
         if key in params:
             v = params[key]
             if not (isinstance(v, (list, tuple)) and v and all(map(_is_number, v))):
                 raise ConfigError(f"'{key}' must be a non-empty flat array of finite numbers")
             params[key] = [float(e) for e in v]
-    for key in ("t", "lambda", "q", "tol"):
+    for key in _POSITIVE:
         if params.get(key, 1) <= 0:
             raise ConfigError(f"'{key}' must be positive")
-    for key in ("t_grid", "s_grid"):
+    for key in _ARRAYS[:2]:  # the time grids
         if min(params.get(key, [1])) <= 0:
             raise ConfigError(f"every '{key}' entry must be positive")
     if len(params.get("x", [0] * operator.n)) != operator.n:

@@ -166,8 +166,8 @@ class Gramian:
 
 def gramian(spec: OperatorSpec, t: float, dec: KalmanDecomposition | None = None) -> Gramian:
     """Q_t, its scaled factorization and e^{tA}, from one block exponential."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < np.inf:  # a finite t that float64 cannot hold is a KolmotkError
+        raise ValueError(f"t must be finite and positive, got t={t!r}")
     if dec is None:
         dec = spec.decomposition()
     eA, matrix, scaled = _representable(t, _scaled_law, spec, dec, t)

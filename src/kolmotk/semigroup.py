@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularGramian
-from .gramian import TMIN, _law, gramian
+from .gramian import TMIN, _law
 from .holder import ScalarField
 from .operators import OperatorSpec
-from .simulate import (_EXACT, _Pair, _gaussian_endpoints, _normals, girsanov_endpoints,
-                       simulate_endpoints)
+from .simulate import _Pair, _exact_endpoints, girsanov_endpoints, simulate_endpoints
 
 __all__ = [
     "MCEstimate",
@@ -77,14 +76,12 @@ def _estimate(values, method, spec, x0s, t, steps, seed, n_paths, path_offset=0,
     ``values`` maps the endpoints of the starts x0s (m, n) to: Z and log_phi
     from ``girsanov_endpoints`` for ``"girsanov"``, X and eta from
     ``simulate_endpoints`` for ``"pathwise"``, and X alone otherwise.  For
-    F == 0 they are drawn from the exact law X_t = e^{tA} x + S xi with
-    S S' = Q_t, log_phi = 0 and eta = e^{tA}, and ``steps`` is ignored: the
-    xi of path p (``path_offset`` counts) is normals [p n, (p+1) n) of the
-    seed's exact region, shared by every start and any threads.  With
-    ``steps`` None on a drifted operator the values are the Talay-Tubaro
-    extrapolation 2 g_K - g_{K/2} of a first-order scheme: g_K on
-    K = ``_pair_steps(t)`` steps and g_{K/2} on the pair-summed increments
-    of the same draw.  Every estimate's budget and t are checked here."""
+    F == 0 they are drawn by ``_exact_endpoints``, log_phi = 0, and
+    ``steps`` is ignored.  With ``steps`` None on a drifted operator the
+    values are the Talay-Tubaro extrapolation 2 g_K - g_{K/2} of a
+    first-order scheme: g_K on K = ``_pair_steps(t)`` steps and g_{K/2} on
+    the pair-summed increments of the same draw.  Every estimate's budget
+    and t are checked here."""
     if n_paths < 2:
         raise ValueError("budget >= 2")
     if not math.isfinite(t):
@@ -94,15 +91,9 @@ def _estimate(values, method, spec, x0s, t, steps, seed, n_paths, path_offset=0,
     x0s = np.atleast_2d(x0s)
     K = _Pair(_pair_steps(t)) if steps is None and not spec.F.is_zero else steps
     if spec.F.is_zero:
-        xi = _normals(seed, _EXACT, path_offset * spec.n, n_paths * spec.n).reshape(n_paths, spec.n)
-        g = gramian(spec, t)
-        X = _gaussian_endpoints(g, x0s, xi)
+        out = _exact_endpoints(spec, x0s, t, seed, n_paths, path_offset, method == "pathwise")
         if method == "girsanov":
-            out = X, np.zeros(X.shape[:2])
-        elif method == "pathwise":
-            out = X, np.broadcast_to(g.exp, X.shape + (spec.n,))
-        else:
-            out = (X,)
+            out += (np.zeros(out[0].shape[:2]),)
     elif method == "girsanov":
         out = girsanov_endpoints(spec, x0s, t, K, seed, n_paths, path_offset=path_offset,
                                  threads=threads)
@@ -259,8 +250,9 @@ class QuadratureScheme:
         panels_per_decade: int = 2,
     ):
         """Log-spaced panels from TMIN to a tail-bounded horizon."""
-        if not (0.0 < lam < math.inf and 0.0 < tol < math.inf):
-            raise ValueError(f"lambda and tol must be finite and positive, got {lam!r}, {tol!r}")
+        if not (0.0 < lam < math.inf and 0.0 < tol < math.inf and 0.0 <= f_sup < math.inf):
+            raise ValueError(f"lambda and tol must be finite and positive and f_sup finite and "
+                             f">= 0, got {lam!r}, {tol!r}, {f_sup!r}")
         t_max = max(1.0, math.log(max(f_sup, tol) / (lam * tol)) / lam)
         n_panels = max(1, int(math.ceil(panels_per_decade * math.log10(t_max / TMIN))))
         bounds = np.geomspace(TMIN, t_max, n_panels + 1)
@@ -340,6 +332,8 @@ def solve_parabolic(
     """
     if not t > scheme.t_min:  # (t_min, t] must not be empty, nor t NaN
         raise SingularGramian(f"t={t:g} not above the minimum semigroup scale {scheme.t_min:g}")
+    if t == math.inf:  # the source nodes t - s would be inf - inf
+        raise ValueError(f"t must be finite, got {t!r}")
     fields, ts, ws = [g], [t], [1.0]
     if H is not None:
         ss, wg = _gauss_legendre(np.array([0.0, t - scheme.t_min]), scheme.nodes_per_panel * 2)
@@ -357,7 +351,7 @@ def cosine_propagator(spec: OperatorSpec, f: ScalarField, times, weights) -> Sca
     mixture f: P_t maps c cos(<w, .>) to c e^{-<Q_t w, w>/2} cos(<e^{tA'} w, .>),
     and t = 0 gives P_0 f = f.  A time t < 0 is a ValueError: the semigroup
     runs forward only, and there the factor e^{-<Q_t w, w>/2} exceeds 1.  So
-    are a NaN time and times and weights of different lengths."""
+    are a NaN or infinite time and times and weights of different lengths."""
     if not spec.F.is_zero:
         raise ValueError("oracle requires zero nonlinear drift")
     if f.waves is None:
@@ -366,8 +360,8 @@ def cosine_propagator(spec: OperatorSpec, f: ScalarField, times, weights) -> Sca
     coeffs, waves = [], []
     for t, weight in zip(times, weights, strict=True):
         t = float(t)
-        if not t >= 0.0:
-            raise ValueError(f"P_t needs t >= 0, got t={t:g}")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"P_t needs a finite t >= 0, got t={t:g}")
         if t == 0.0:
             eA, Qt = np.eye(spec.n), np.zeros((spec.n, spec.n))
         else:

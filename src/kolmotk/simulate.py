@@ -25,8 +25,8 @@ reach on one path: the same kernel on the same increments, on the grid
 it is given, and ``deterministic_flow`` is the X stepper fed zero
 increments.  Every run checks its grid in ``_dt``: at least one step to
 a finite t > 0.
-The exact F == 0 law takes no steps: path p owns normals [p n, (p+1) n)
-of its region.
+The exact F == 0 law takes no steps: ``_exact_endpoints`` reads it, and
+path p owns normals [p n, (p+1) n) of its region.
 """
 
 from __future__ import annotations
@@ -110,6 +110,18 @@ def _gaussian_endpoints(g, x0s, xi):
     are shared by every start in x0s."""
     X = (np.atleast_2d(x0s) @ g.exp.T)[:, None, :]
     return X + xi @ g.sqrt_factor().T
+
+
+def _exact_endpoints(spec: OperatorSpec, x0s, t, seed, n_paths, path_offset, with_variation):
+    """The F == 0 endpoints X (m, n_paths, n) from their exact law X_t =
+    e^{tA} x + S xi with S S' = Q_t, and with ``with_variation`` eta = e^{tA}
+    broadcast to (m, n_paths, n, n), as the steppers return them: the xi of
+    path p (``path_offset`` counts) is normals [p n, (p+1) n) of the seed's
+    exact region, shared by every start in x0s (m, n) and any threads."""
+    xi = _normals(seed, _EXACT, path_offset * spec.n, n_paths * spec.n).reshape(n_paths, spec.n)
+    g = gramian(spec, t)
+    X = _gaussian_endpoints(g, x0s, xi)
+    return (X, np.broadcast_to(g.exp, X.shape + (spec.n,))) if with_variation else (X,)
 
 
 def sample_ou_endpoints(spec: OperatorSpec, x, t: float, size: int, rng: np.random.Generator):

@@ -87,3 +87,27 @@ def test_every_default_is_set_outside_its_unit_tests():
              if p.default is not p.empty
              and not any(_sets(args, kws, i, p.name) for args, kws in calls.get(name, ()))]
     assert unset == []
+
+
+def test_package_exports_each_module_list():
+    """Each module's ``__all__`` is the one list of its exports, and
+    ``kolmotk.__all__`` is their union, over every module but the ``cli``
+    front end, with the public classes of ``errors``, which has no
+    ``__all__``."""
+    from kolmotk import errors
+
+    exported = {name for m in MODULE_OBJECTS[1:] if m.__name__ != "kolmotk.cli"
+                for name in getattr(m, "__all__", ())}
+    exported |= {name for name, v in vars(errors).items()
+                 if inspect.isclass(v) and not name.startswith("_")}
+    assert sorted(kolmotk.__all__) == sorted(exported)
+
+
+def test_semigroup_leaves_the_exact_draw_to_simulate():
+    """The F == 0 endpoints are drawn in ``simulate``, which owns the
+    stream's regions and the Gaussian law that reads them."""
+    from kolmotk import semigroup
+
+    bound = [name for name in ("_EXACT", "_normals", "_gaussian_endpoints", "gramian")
+             if hasattr(semigroup, name)]
+    assert bound == []

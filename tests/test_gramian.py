@@ -107,8 +107,10 @@ def test_singular_below_minimum_time():
 
 
 def test_gramian_rejects_nonpositive_time():
-    with pytest.raises(ValueError):
-        gramian(SPEC_2D, 0.0)
+    # a non-finite time is the caller's error, like a non-positive one
+    for t in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            gramian(SPEC_2D, t)
     with pytest.raises(ValueError):
         gramian_quadrature(SPEC_2D, -1.0)
 

@@ -1,5 +1,6 @@
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,11 @@ def test_evaluate_validation():
                 evaluate(spec, COS, t, X0, 10, 3)
         with pytest.raises(SingularGramian):
             solve_parabolic(spec, COS, None, float("nan"), X0, scheme, 3)
+        # an infinite t is refused before its source nodes t - s are inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t must be finite"):
+                solve_parabolic(spec, COS, lambda s: COS, float("inf"), X0, scheme, 3)
 
 
 def oracle_gradient(t, x):
@@ -196,6 +202,10 @@ def test_quadrature_scheme_build():
             QuadratureScheme.build(bad, 1.0)
         with pytest.raises(ValueError, match="must be finite and positive"):
             QuadratureScheme.build(1.0, 1.0, tol=bad)
+    # a field bound is finite and non-negative, or the tail bound is NaN or negative
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            QuadratureScheme.build(1.0, bad)
 
 
 def test_elliptic_constant_solution():

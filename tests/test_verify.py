@@ -266,6 +266,8 @@ def test_closed_form_oracles_reject_negative_times():
                                        budget=10, seed=0)
     with pytest.raises(ValueError, match="t >= 0"):
         cosine_propagator(SPEC_2D, f, [0.5, float("nan")], [1.0, 1.0])
+    with pytest.raises(ValueError, match="t >= 0"):
+        cosine_propagator(SPEC_2D, f, [0.5, float("inf")], [1.0, 1.0])
     assert cosine_propagator(SPEC_2D, f, [0.0], [1.0])([0.2, -0.1]) == f([0.2, -0.1])
 
 
